@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check lint fmt vet build test test-race race bench scenarios doc-check linkcheck invariant-check
+.PHONY: check lint fmt vet build test test-race bench scenarios doc-check linkcheck invariant-check
 
 check: fmt vet build doc-check linkcheck invariant-check test test-race
 
@@ -33,7 +33,7 @@ linkcheck:
 
 # Project invariants go vet cannot see — lock discipline, log-before-
 # externalize, error/goroutine hygiene, metrics tax and definition sites;
-# tools/basilvet fails on unjustified violations (codes BV000-BV008,
+# tools/basilvet fails on unjustified violations (codes BV000-BV009,
 # documented in ARCHITECTURE.md "Machine-checked invariants").
 invariant-check:
 	$(GO) run ./tools/basilvet ./internal/... ./basil ./cmd/...
@@ -53,15 +53,12 @@ test:
 # lock-free span ring written by every component at once), the seeded
 # fault-schedule determinism regression (internal/faults), and the
 # scenario harness's smoke storms (internal/scenario, race-scaled via
-# its Tuning). Runs as part of `make check`.
+# its Tuning), and the TCP deployment/loopback clusters (per-connection
+# writer goroutines, reverse-route eviction). Runs as part of
+# `make check`.
 test-race:
 	$(GO) test -race ./internal/transport/ ./internal/client/ ./internal/replica/ ./internal/store/ ./internal/wal/ ./internal/metrics/ ./internal/quorum/ ./internal/benchharness/ ./internal/types/ ./internal/cryptoutil/ ./internal/trace/ ./internal/faults/ ./internal/scenario/
-	$(GO) test -race ./basil/ -run 'TestCrashRestart|TestRestartReplica|TestOverloadSheds'
-
-# The transport and codec tests are required to pass under the race
-# detector (per-connection writer goroutines, reverse-route eviction).
-race:
-	$(GO) test -race ./internal/transport/ ./internal/types/ ./internal/cryptoutil/ ./basil/ -run 'TestTCP|TestWire|TestBatch'
+	$(GO) test -race ./basil/ -run 'TestCrashRestart|TestRestartReplica|TestOverloadSheds|TestTCP'
 
 # Perf trajectory: the parallel-pipeline prepare benchmarks (recorded to
 # BENCH_parallel.json at GOMAXPROCS=4 with exactly-twice message delivery;
@@ -70,16 +67,16 @@ race:
 # amortization curve across appender counts and flush windows), the
 # checkpoint lifecycle ladder (recorded to BENCH_checkpoint.json —
 # steady-state checkpoint cost must stay flat as history grows), the
-# admission overload scenario (recorded to BENCH_admission.json — honest
-# throughput under a line-rate spammer, unlimited vs bounded intake; see
-# internal/benchharness/admission.go), the tracing experiment (recorded
+# tracing experiment (recorded
 # to BENCH_trace.json — per-stage p50/p99 from a fully sampled cluster
 # plus the unsampled-path overhead, which must stay within 2%; see
 # internal/benchharness/tracefig.go), and the wire-path benchmarks.
 # The production-scenario matrix (internal/scenario): open-loop load,
 # chaos storms (crash+WAL restart, slow disk, partition, equivocating
 # replica, spam) and explicit SLO verdicts, recorded to
-# BENCH_scenarios.json. Each scenario reproduces from its recorded seed
+# BENCH_scenarios.json; its spammer-honest-mix and spammer-unbounded
+# cells are the bounded-vs-unbounded intake comparison under a
+# line-rate spammer. Each scenario reproduces from its recorded seed
 # (`-seed N`). A seeded smoke subset runs inside test/test-race.
 scenarios:
 	$(GO) run ./cmd/basil-bench -experiment scenarios -json $(CURDIR)/BENCH_scenarios.json
@@ -88,7 +85,6 @@ bench:
 	$(GO) test ./internal/store/ -run TestWriteParallelBench -parallelbench $(CURDIR)/BENCH_parallel.json -v -count=1
 	$(GO) test ./internal/wal/ -run TestWriteWALBench -walbench $(CURDIR)/BENCH_wal.json -v -count=1
 	$(GO) test ./internal/replica/ -run TestWriteCheckpointBench -checkpointbench $(CURDIR)/BENCH_checkpoint.json -v -count=1
-	$(GO) test ./internal/benchharness/ -run TestWriteAdmissionBench -admissionbench $(CURDIR)/BENCH_admission.json -v -count=1
 	$(GO) test ./internal/benchharness/ -run TestWriteTraceBench -tracebench $(CURDIR)/BENCH_trace.json -v -count=1
 	GOMAXPROCS=4 $(GO) test ./internal/store/ -run xxx -bench 'BenchmarkPrepare' -benchtime=2000x
 	$(GO) test ./internal/wal/ -run xxx -bench BenchmarkWALAppend -benchtime=1000x

@@ -22,7 +22,7 @@ import (
 
 func main() {
 	exp := flag.String("experiment", "all",
-		"experiment id: fig4, fig5a, fig5b, fig5c, fig6a, fig6b, fig7a, fig7b, latency, rates, wire, parallel, durability, checkpoint, metrics, admission, trace, scenarios, all")
+		"experiment id: fig4, fig5a, fig5b, fig5c, fig6a, fig6b, fig7a, fig7b, latency, rates, wire, parallel, durability, checkpoint, metrics, trace, scenarios, all")
 	scaleName := flag.String("scale", "quick", "quick or full")
 	seed := flag.Int64("seed", 1, "scenario seed (scenarios experiment); every run reproduces from it")
 	jsonPath := flag.String("json", "", "write the scenarios experiment's verdicts to this JSON file")
@@ -39,104 +39,45 @@ func main() {
 		os.Exit(2)
 	}
 
-	run := func(id string) bool {
-		want := *exp == "all" || strings.EqualFold(*exp, id)
-		if want {
-			fmt.Printf("running %s ...\n", id)
-		}
-		return want
+	// The experiments "all" runs, in order; each renders its tables.
+	type table = benchharness.Table
+	one := func(fig func(benchharness.Scale) table) func() []table {
+		return func() []table { return []table{fig(scale)} }
+	}
+	pair := func(a, b table) []table { return []table{a, b} }
+	experiments := []struct {
+		id  string
+		run func() []table
+	}{
+		{"fig4", func() []table { return pair(benchharness.Fig4(scale)) }},
+		{"fig5a", one(benchharness.Fig5a)},
+		{"fig5b", one(benchharness.Fig5b)},
+		{"fig5c", one(benchharness.Fig5c)},
+		{"fig6a", one(benchharness.Fig6a)},
+		{"fig6b", one(benchharness.Fig6b)},
+		{"fig7a", func() []table { return []table{benchharness.Fig7(scale, false)} }},
+		{"fig7b", func() []table { return []table{benchharness.Fig7(scale, true)} }},
+		{"latency", func() []table { return []table{benchharness.FigLatency(scale, 500*time.Microsecond)} }},
+		{"rates", one(benchharness.CommitRates)},
+		{"wire", func() []table { return pair(benchharness.FigWire(scale), benchharness.FigBroadcast(scale)) }},
+		{"parallel", one(benchharness.FigParallel)},
+		{"durability", one(benchharness.FigDurability)},
+		{"checkpoint", one(benchharness.FigCheckpoint)},
+		{"metrics", one(benchharness.FigMetrics)},
+		{"trace", func() []table { return pair(benchharness.FigTrace(scale)) }},
 	}
 
 	out := os.Stdout
 	any := false
-	if run("fig4") {
+	for _, e := range experiments {
+		if *exp != "all" && !strings.EqualFold(*exp, e.id) {
+			continue
+		}
 		any = true
-		tput, lat := benchharness.Fig4(scale)
-		tput.Render(out)
-		lat.Render(out)
-	}
-	if run("fig5a") {
-		any = true
-		t := benchharness.Fig5a(scale)
-		t.Render(out)
-	}
-	if run("fig5b") {
-		any = true
-		t := benchharness.Fig5b(scale)
-		t.Render(out)
-	}
-	if run("fig5c") {
-		any = true
-		t := benchharness.Fig5c(scale)
-		t.Render(out)
-	}
-	if run("fig6a") {
-		any = true
-		t := benchharness.Fig6a(scale)
-		t.Render(out)
-	}
-	if run("fig6b") {
-		any = true
-		t := benchharness.Fig6b(scale)
-		t.Render(out)
-	}
-	if run("fig7a") {
-		any = true
-		t := benchharness.Fig7(scale, false)
-		t.Render(out)
-	}
-	if run("fig7b") {
-		any = true
-		t := benchharness.Fig7(scale, true)
-		t.Render(out)
-	}
-	if run("latency") {
-		any = true
-		t := benchharness.FigLatency(scale, 500*time.Microsecond)
-		t.Render(out)
-	}
-	if run("rates") {
-		any = true
-		t := benchharness.CommitRates(scale)
-		t.Render(out)
-	}
-	if run("wire") {
-		any = true
-		t := benchharness.FigWire(scale)
-		t.Render(out)
-		bt := benchharness.FigBroadcast(scale)
-		bt.Render(out)
-	}
-	if run("parallel") {
-		any = true
-		t := benchharness.FigParallel(scale)
-		t.Render(out)
-	}
-	if run("durability") {
-		any = true
-		t := benchharness.FigDurability(scale)
-		t.Render(out)
-	}
-	if run("checkpoint") {
-		any = true
-		t := benchharness.FigCheckpoint(scale)
-		t.Render(out)
-	}
-	if run("metrics") {
-		any = true
-		t := benchharness.FigMetrics(scale)
-		t.Render(out)
-	}
-	if run("admission") {
-		any = true
-		t := benchharness.FigAdmission(scale)
-		t.Render(out)
-	}
-	if run("trace") {
-		any = true
-		stages, over := benchharness.FigTrace(scale)
-		stages.Render(out)
-		over.Render(out)
+		fmt.Printf("running %s ...\n", e.id)
+		for _, t := range e.run() {
+			t.Render(out)
+		}
 	}
 	if strings.EqualFold(*exp, "scenarios") {
 		// Not part of "all": the scenario matrix is a minute-long chaos

@@ -202,12 +202,8 @@ func Fig5a(s Scale) Table {
 	t := Table{Title: "Fig 5a: impact of signatures (tx/s)",
 		Header: []string{"workload", "Basil", "Basil-NoProofs", "speedup"}}
 	for _, gen := range []workload.Generator{s.ycsbRWU(), s.ycsbRWZ()} {
-		with := NewBasil(gen, basil.Options{F: 1, Shards: 1, BatchSize: 16})
-		r1 := Run(with, gen, s.runCfg())
-		with.Close()
-		without := NewBasil(gen, basil.Options{F: 1, Shards: 1, NoSignatures: true})
-		r2 := Run(without, gen, s.runCfg())
-		without.Close()
+		r1 := measure(NewBasil(gen, basil.Options{F: 1, Shards: 1, BatchSize: 16}), gen, s.runCfg())
+		r2 := measure(NewBasil(gen, basil.Options{F: 1, Shards: 1, NoSignatures: true}), gen, s.runCfg())
 		sp := 0.0
 		if r1.Throughput > 0 {
 			sp = r2.Throughput / r1.Throughput
@@ -250,12 +246,8 @@ func Fig5c(s Scale) Table {
 		Header: []string{"shards", "Basil", "Basil-NoProofs"}}
 	gen := workload.NewYCSB(workload.YCSBConfig{Keys: s.YCSBKeys, ReadOps: 3, WriteOps: 3})
 	for shards := 1; shards <= 3; shards++ {
-		with := NewBasil(gen, basil.Options{F: 1, Shards: shards, BatchSize: 16})
-		r1 := Run(with, gen, s.runCfg())
-		with.Close()
-		without := NewBasil(gen, basil.Options{F: 1, Shards: shards, NoSignatures: true})
-		r2 := Run(without, gen, s.runCfg())
-		without.Close()
+		r1 := measure(NewBasil(gen, basil.Options{F: 1, Shards: shards, BatchSize: 16}), gen, s.runCfg())
+		r2 := measure(NewBasil(gen, basil.Options{F: 1, Shards: shards, NoSignatures: true}), gen, s.runCfg())
 		t.Rows = append(t.Rows, []string{fmt.Sprint(shards), f1(r1.Throughput), f1(r2.Throughput)})
 	}
 	return t
@@ -267,12 +259,8 @@ func Fig6a(s Scale) Table {
 	t := Table{Title: "Fig 6a: fast path impact (tx/s)",
 		Header: []string{"workload", "Basil-NoFP", "Basil", "gain"}}
 	for _, gen := range []workload.Generator{s.ycsbRWU(), s.ycsbRWZ()} {
-		nofp := NewBasil(gen, basil.Options{F: 1, Shards: 1, BatchSize: 16, DisableFastPath: true})
-		r1 := Run(nofp, gen, s.runCfg())
-		nofp.Close()
-		fp := NewBasil(gen, basil.Options{F: 1, Shards: 1, BatchSize: 16})
-		r2 := Run(fp, gen, s.runCfg())
-		fp.Close()
+		r1 := measure(NewBasil(gen, basil.Options{F: 1, Shards: 1, BatchSize: 16, DisableFastPath: true}), gen, s.runCfg())
+		r2 := measure(NewBasil(gen, basil.Options{F: 1, Shards: 1, BatchSize: 16}), gen, s.runCfg())
 		gain := 0.0
 		if r1.Throughput > 0 {
 			gain = (r2.Throughput - r1.Throughput) / r1.Throughput * 100
@@ -289,9 +277,7 @@ func Fig6b(s Scale) Table {
 	for _, gen := range []workload.Generator{s.ycsbRWU(), s.ycsbRWZ()} {
 		row := []string{gen.Name()}
 		for _, b := range []int{1, 2, 4, 8, 16, 32} {
-			sys := NewBasil(gen, basil.Options{F: 1, Shards: 1, BatchSize: b})
-			r := Run(sys, gen, s.runCfg())
-			sys.Close()
+			r := measure(NewBasil(gen, basil.Options{F: 1, Shards: 1, BatchSize: b}), gen, s.runCfg())
 			row = append(row, f1(r.Throughput))
 		}
 		t.Rows = append(t.Rows, row)
@@ -343,7 +329,7 @@ func Fig7(s Scale, zipf bool) Table {
 			})
 			sys.Close()
 			t.Rows = append(t.Rows, []string{
-				m.label, f2(rate), f2(r.FaultShare), f2(r.PerCorrectCli), fmt.Sprint(r.EquivocationsOK),
+				m.label, f2(rate), f2(r.FaultShare), f2(r.PerTxpsCli), fmt.Sprint(r.EquivocationsOK),
 			})
 		}
 	}
@@ -372,16 +358,12 @@ func FigLatency(s Scale, delay time.Duration) Table {
 	bs := NewBasil(gen, basil.Options{F: 1, Shards: 1, BatchSize: 4,
 		FastPathWait: 4*delay + 2*time.Millisecond})
 	policy(bs.C.Net())
-	r := Run(bs, gen, cfg)
-	bs.Close()
-	t.Rows = append(t.Rows, latencyRow("Basil", r))
+	t.Rows = append(t.Rows, latencyRow("Basil", measure(bs, gen, cfg)))
 
 	for _, kind := range []txbase.Kind{txbase.KindHotStuff, txbase.KindPBFT} {
 		sys := NewTxBase(gen, kind, 1)
 		policy(sys.C.Net())
-		r := Run(sys, gen, cfg)
-		sys.Close()
-		t.Rows = append(t.Rows, latencyRow(kind.String(), r))
+		t.Rows = append(t.Rows, latencyRow(kind.String(), measure(sys, gen, cfg)))
 	}
 	return t
 }
@@ -404,14 +386,10 @@ func FigWire(s Scale) Table {
 	cfg := s.runCfg()
 	opts := basil.Options{F: 1, Shards: 1, BatchSize: 16}
 
-	local := NewBasil(gen, opts)
-	r := Run(local, gen, cfg)
-	local.Close()
+	r := measure(NewBasil(gen, opts), gen, cfg)
 	t.Rows = append(t.Rows, []string{"Local", f1(r.Throughput), f2(r.MeanLatMs), f2(r.P99LatMs)})
 
-	tcp := NewBasilTCP(gen, opts)
-	r = Run(tcp, gen, cfg)
-	tcp.Close()
+	r = measure(NewBasilTCP(gen, opts), gen, cfg)
 	t.Rows = append(t.Rows, []string{"TCP loopback", f1(r.Throughput), f2(r.MeanLatMs), f2(r.P99LatMs)})
 	return t
 }
@@ -527,12 +505,10 @@ func FigParallel(s Scale) Table {
 			if stripes == 1 {
 				label = "global-lock"
 			}
-			sys := NewBasil(gen, basil.Options{
+			r := measure(NewBasil(gen, basil.Options{
 				F: 1, Shards: 1, BatchSize: 16,
 				VerifyWorkers: workers, StoreStripes: stripes,
-			})
-			r := Run(sys, gen, cfg)
-			sys.Close()
+			}), gen, cfg)
 			t.Rows = append(t.Rows, []string{
 				fmt.Sprint(workers), label, f1(r.Throughput), f2(r.MeanLatMs),
 			})
@@ -582,9 +558,7 @@ func FigDurability(s Scale) Table {
 	// interleaving, not parallelism, is what fills the flush window.
 	gen := s.ycsbRWU()
 	cfg := s.runCfg()
-	mem := NewBasil(gen, basil.Options{F: 1, Shards: 1, BatchSize: 16, VerifyWorkers: 8})
-	r := Run(mem, gen, cfg)
-	mem.Close()
+	r := measure(NewBasil(gen, basil.Options{F: 1, Shards: 1, BatchSize: 16, VerifyWorkers: 8}), gen, cfg)
 	t.Rows = append(t.Rows, []string{"cluster in-memory", "-", f1(r.Throughput), "0"})
 	dir, err := os.MkdirTemp("", "walcluster")
 	if err != nil {

@@ -1,7 +1,6 @@
 package benchharness
 
 import (
-	"errors"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -9,7 +8,6 @@ import (
 
 	"repro/basil"
 	"repro/internal/client"
-	"repro/internal/metrics"
 	"repro/internal/workload"
 )
 
@@ -29,149 +27,130 @@ type FailureRunConfig struct {
 	Seed          int64
 }
 
-// FailureResult extends Result with fault accounting.
+// FailureResult extends the correct clients' Result with fault
+// accounting.
 type FailureResult struct {
 	Result
 	FaultyTxs       uint64
 	EquivocationsOK uint64  // equiv attempts that actually diverged
 	FaultShare      float64 // faulty / (faulty + correct commits), the paper's x-axis
-	PerCorrectCli   float64 // committed tx/s per correct client (the paper's y-axis)
 }
 
-// RunWithByzClients drives gen with a mixed population of correct and
-// Byzantine Basil clients and reports correct-client throughput.
+// RunWithByzClients starts a faulty population, drives gen with Run's
+// closed loop over the correct clients, and stops the faulty population.
+// Throughput and latency are the correct clients'; faulty transactions
+// count over the same measure window.
 func RunWithByzClients(cl *basil.Cluster, gen workload.Generator, cfg FailureRunConfig) FailureResult {
-	if cfg.Measure <= 0 {
-		cfg.Measure = time.Second
-	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 99
 	}
-	var (
-		measuring atomic.Bool
-		stop      atomic.Bool
-		commits   atomic.Uint64
-		attempts  atomic.Uint64
-		faulty    atomic.Uint64
-		equivOK   atomic.Uint64
-	)
-	lat := &metrics.Histogram{}
-
-	var wg sync.WaitGroup
-	// Correct clients: the measured population.
-	for i := 0; i < cfg.CorrectClients; i++ {
-		c := cl.NewClient()
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(i)*7919))
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !stop.Load() {
-				fn := gen.Next(rng)
-				start := time.Now()
-				backoff := 200 * time.Microsecond
-				for !stop.Load() {
-					tx := c.Begin()
-					if measuring.Load() {
-						attempts.Add(1)
-					}
-					err := fn.Body(txAdapter{tx})
-					if err == nil {
-						err = tx.Commit()
-					} else {
-						tx.Abort()
-					}
-					if err == nil {
-						if measuring.Load() {
-							commits.Add(1)
-							lat.Since(start)
-						}
-						break
-					}
-					if errors.Is(err, workload.ErrWorkloadAbort) {
-						break
-					}
-					time.Sleep(backoff + time.Duration(rng.Int63n(int64(backoff))))
-					if backoff < 10*time.Millisecond {
-						backoff *= 2
-					}
-				}
-			}
-		}()
+	var measuring atomic.Bool
+	byz := &FaultyLoad{Mode: cfg.Mode, Fraction: cfg.FaultFraction, Gate: &measuring}
+	clients := make([]*client.Client, cfg.ByzClients)
+	for i := range clients {
+		clients[i] = cl.NewClient().Inner()
 	}
-	// Byzantine clients: issue faulty transactions at the configured
-	// rate; faulty transactions that abort are not retried (paper §6.4).
-	for i := 0; i < cfg.ByzClients; i++ {
-		c := cl.NewClient()
-		rng := rand.New(rand.NewSource(cfg.Seed + 100_003 + int64(i)*104729))
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !stop.Load() {
-				fn := gen.Next(rng)
-				inner := c.Inner()
-				if rng.Float64() < cfg.FaultFraction {
-					tx := inner.Begin()
-					if fn.Body(clientTxAdapter{tx}) == nil {
-						ok := inner.CommitFaulty(tx, cfg.Mode)
-						if measuring.Load() {
-							faulty.Add(1)
-							if ok && (cfg.Mode == client.FaultEquivReal || cfg.Mode == client.FaultEquivForced) {
-								equivOK.Add(1)
-							}
-						}
-					}
-					continue
-				}
-				tx := inner.Begin()
-				if err := fn.Body(clientTxAdapter{tx}); err == nil {
-					_ = tx.Commit()
-				} else {
-					tx.Abort()
-				}
-			}
-		}()
-	}
+	byz.Start(clients, gen, cfg.Seed+100_003)
+	r := run(&BasilSystem{C: cl}, gen, RunConfig{
+		Clients: cfg.CorrectClients, Warmup: cfg.Warmup, Measure: cfg.Measure, Seed: cfg.Seed,
+	}, &measuring)
+	byz.Stop()
 
-	time.Sleep(cfg.Warmup)
-	measuring.Store(true)
-	t0 := time.Now()
-	time.Sleep(cfg.Measure)
-	measuring.Store(false)
-	elapsed := time.Since(t0).Seconds()
-	stop.Store(true)
-	wg.Wait()
-
-	res := FailureResult{}
-	res.System = "Basil"
-	res.Workload = gen.Name()
-	res.Clients = cfg.CorrectClients + cfg.ByzClients
-	res.Commits = commits.Load()
-	res.Attempts = attempts.Load()
-	res.MeasureSecs = elapsed
-	res.Throughput = float64(res.Commits) / elapsed
-	if res.Attempts > 0 {
-		res.CommitRate = float64(res.Commits) / float64(res.Attempts)
-	}
-	res.MeanLatMs, res.P50LatMs, res.P90LatMs, res.P99LatMs, res.P999LatMs = latencyStats(lat.SnapshotHist())
-	res.FaultyTxs = faulty.Load()
-	res.EquivocationsOK = equivOK.Load()
+	res := FailureResult{Result: r, FaultyTxs: byz.Sent.Load(), EquivocationsOK: byz.Diverged.Load()}
 	if total := float64(res.FaultyTxs) + float64(res.Commits); total > 0 {
 		res.FaultShare = float64(res.FaultyTxs) / total
-	}
-	if cfg.CorrectClients > 0 {
-		res.PerCorrectCli = res.Throughput / float64(cfg.CorrectClients)
 	}
 	return res
 }
 
-// txAdapter adapts *basil.Txn to the harness SysTx.
-type txAdapter struct{ t *basil.Txn }
+// faultyTick is the pacing quantum of a paced faulty client.
+const faultyTick = 2 * time.Millisecond
 
-func (t txAdapter) Read(k string) ([]byte, error) { return t.t.Read(k) }
-func (t txAdapter) Write(k string, v []byte)      { t.t.Write(k, v) }
+// FaultyLoad is the one Byzantine-client driver, serving both the Fig. 7
+// failure runs and the scenario spammer. Each client draws transactions
+// from a generator and commits a Fraction of them under Mode; the rest it
+// commits correctly. Nothing a faulty client issues is retried.
+type FaultyLoad struct {
+	Mode     client.FaultMode
+	Fraction float64
+	// Rate paces each client to at most Rate transactions per second
+	// plus one burst (a token bucket holding one tick's worth, at least
+	// one); 0 leaves it unpaced.
+	Rate float64
+	// Gate, when non-nil, limits counting to while it is set.
+	Gate *atomic.Bool
 
-// clientTxAdapter adapts the internal client transaction.
-type clientTxAdapter struct{ t *client.Txn }
+	Sent     atomic.Uint64 // faulty commits issued
+	Diverged atomic.Uint64 // equivocations that actually diverged
 
-func (t clientTxAdapter) Read(k string) ([]byte, error) { return t.t.Read(k) }
-func (t clientTxAdapter) Write(k string, v []byte)      { t.t.Write(k, v) }
+	stop chan struct{}
+	wg   sync.WaitGroup
+}
+
+// Start launches one driver goroutine per client; client i draws from
+// the rng seeded with seed+i*104729.
+func (f *FaultyLoad) Start(clients []*client.Client, gen workload.Generator, seed int64) {
+	f.stop = make(chan struct{})
+	for i, c := range clients {
+		rng := rand.New(rand.NewSource(seed + int64(i)*104729))
+		f.wg.Add(1)
+		go func() {
+			defer f.wg.Done()
+			f.drive(c, gen, rng)
+		}()
+	}
+}
+
+// Stop ends every driver and waits for them. A paced driver returns
+// within one tick; any driver returns once its current transaction does.
+func (f *FaultyLoad) Stop() {
+	close(f.stop)
+	f.wg.Wait()
+}
+
+// drive runs one faulty client until Stop.
+func (f *FaultyLoad) drive(c *client.Client, gen workload.Generator, rng *rand.Rand) {
+	burst := max(f.Rate*faultyTick.Seconds(), 1)
+	tokens, last := burst, time.Now()
+	tick := time.NewTicker(faultyTick)
+	defer tick.Stop()
+	for {
+		select {
+		case <-f.stop:
+			return
+		default:
+		}
+		if f.Rate > 0 {
+			now := time.Now()
+			tokens = min(tokens+f.Rate*now.Sub(last).Seconds(), burst)
+			last = now
+			if tokens < 1 {
+				select {
+				case <-f.stop:
+					return
+				case <-tick.C:
+				}
+				continue
+			}
+			tokens--
+		}
+		fn := gen.Next(rng)
+		faulty := rng.Float64() < f.Fraction
+		tx := c.Begin()
+		if fn.Body(tx) != nil {
+			tx.Abort()
+			continue
+		}
+		if !faulty {
+			_ = tx.Commit()
+			continue
+		}
+		ok := c.CommitFaulty(tx, f.Mode)
+		if f.Gate == nil || f.Gate.Load() {
+			f.Sent.Add(1)
+			if ok && (f.Mode == client.FaultEquivReal || f.Mode == client.FaultEquivForced) {
+				f.Diverged.Add(1)
+			}
+		}
+	}
+}

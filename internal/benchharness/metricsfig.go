@@ -10,6 +10,7 @@ import (
 	"repro/internal/cryptoutil"
 	"repro/internal/metrics"
 	"repro/internal/store"
+	"repro/internal/trace"
 	"repro/internal/types"
 )
 
@@ -47,26 +48,35 @@ func FigMetrics(s Scale) Table {
 	if s.Measure >= 5*time.Second {
 		total = 6000 // the -scale full variant
 	}
-	bare := bestOf(3, func() float64 { return prepareWorkloadNs(total, false) })
-	live := bestOf(3, func() float64 { return prepareWorkloadNs(total, true) })
+	bare := bestOf(3, func() float64 { return prepareNs(total, nil, nil) })
+	live := bestOf(3, func() float64 { return prepareNs(total, metrics.NewRegistry(), nil) })
 	t.Rows = append(t.Rows, []string{"prepare pipeline (bare)", f1(bare), "-", "-"})
 	t.Rows = append(t.Rows, []string{"prepare pipeline (metrics live)", f1(live), "-",
 		fmt.Sprintf("%+.2f%%", (live-bare)/bare*100)})
 	return t
 }
 
-// prepareWorkloadNs runs `total` signed single-write prepares (each
-// delivered twice — re-delivery is routine) through the verify+store
-// pipeline on GOMAXPROCS workers and reports ns per delivered pair.
-func prepareWorkloadNs(total int, instrumented bool) float64 {
+// prepareNs runs `total` signed single-write prepares (each delivered
+// twice — re-delivery is routine) through the verify+store pipeline on
+// GOMAXPROCS workers and reports ns per delivered pair. A non-nil mreg
+// adds the instrumentation the replica wires in: the deliver-latency
+// clock pair plus the store's prepare counters. A non-nil tr threads the
+// replica's tracing calls through each delivery on an unsampled context,
+// exactly as replica ingest makes them: a Start/End pair around
+// verification and one around the store check. Both nil is the bare
+// pipeline, which reads no clock.
+func prepareNs(total int, mreg *metrics.Registry, tr *trace.Tracer) float64 {
 	reg := cryptoutil.NewRegistry(cryptoutil.SchemeEd25519, 6, 1)
 	sv := cryptoutil.NewSigVerifier(reg, total)
 	st := store.NewStriped(store.DefaultStripes)
 	var hDeliver *metrics.Histogram
-	if instrumented {
-		mreg := metrics.NewRegistry()
+	if mreg != nil {
 		st.SetMetrics(store.RegistryMetrics(mreg))
 		hDeliver = mreg.Histogram("basil_replica_deliver_latency_seconds", "kind", "st1")
+	}
+	var tc types.TraceContext
+	if tr != nil {
+		tc, _ = tr.Begin() // unsampled at rate 0, like live traffic
 	}
 
 	type signed struct {
@@ -90,15 +100,19 @@ func prepareWorkloadNs(total int, instrumented bool) float64 {
 
 	deliver := func(m *signed) {
 		var t0 time.Time
-		if instrumented {
+		if hDeliver != nil {
 			t0 = time.Now()
 		}
+		vStart := tr.Start(tc)
 		sig := m.sig
 		if !sv.Verify(m.payload, &sig) {
 			panic("benchmark: bad signature")
 		}
+		tr.End(tc, "r0.0", "replica.verify", 0, vStart)
+		cStart := tr.Start(tc)
 		st.CheckAndPrepare(m.meta, m.id)
-		if instrumented {
+		tr.End(tc, "r0.0", "replica.check", 0, cStart)
+		if hDeliver != nil {
 			hDeliver.Since(t0)
 		}
 	}

@@ -1,6 +1,7 @@
 package benchharness
 
 import (
+	"errors"
 	"math/rand"
 	"sync"
 	"testing"
@@ -227,4 +228,186 @@ func (plainWriteGen) Next(rng *rand.Rand) workload.TxnFunc {
 		tx.Write("k", nil)
 		return nil
 	}}
+}
+
+// flakyGen draws transactions whose first failures commits fail before
+// one succeeds (or, with appAbort, whose bodies roll back), recording how
+// many attempts each drawn transaction got.
+type flakyGen struct {
+	failures int
+	appAbort bool
+
+	mu       sync.Mutex
+	attempts []int // per drawn transaction, in draw order
+}
+
+func (g *flakyGen) Name() string                  { return "flaky" }
+func (g *flakyGen) Populate(func(string, []byte)) {}
+func (g *flakyGen) Next(*rand.Rand) workload.TxnFunc {
+	g.mu.Lock()
+	id := len(g.attempts)
+	g.attempts = append(g.attempts, 0)
+	g.mu.Unlock()
+	return workload.TxnFunc{Name: "flaky", Body: func(tx workload.Tx) error {
+		time.Sleep(100 * time.Microsecond) // bound the draw count
+		g.mu.Lock()
+		g.attempts[id]++
+		n := g.attempts[id]
+		g.mu.Unlock()
+		if g.appAbort {
+			return workload.ErrWorkloadAbort
+		}
+		if n <= g.failures {
+			tx.Write("fail", nil)
+		}
+		return nil
+	}}
+}
+
+// finished returns the attempt counts of every drawn transaction but the
+// last, which the end of the run may have cut short.
+func (g *flakyGen) finished() []int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if len(g.attempts) < 2 {
+		return nil
+	}
+	return append([]int(nil), g.attempts[:len(g.attempts)-1]...)
+}
+
+var errFlaky = errors.New("flaky: transient commit failure")
+
+// flakySystem's Commit fails iff the attempt's body wrote "fail"; err,
+// when set, is the failure it returns.
+type flakySystem struct{ err error }
+
+func (s *flakySystem) Name() string        { return "flaky" }
+func (s *flakySystem) Load(string, []byte) {}
+func (s *flakySystem) Close()              {}
+func (s *flakySystem) NewSession() Session { return flakySession{s} }
+
+type flakySession struct{ s *flakySystem }
+
+func (f flakySession) Begin() SysTx { return &flakyTx{s: f.s} }
+
+type flakyTx struct {
+	s    *flakySystem
+	fail bool
+}
+
+func (t *flakyTx) Read(string) ([]byte, error) { return nil, nil }
+func (t *flakyTx) Write(k string, _ []byte)    { t.fail = t.fail || k == "fail" }
+func (t *flakyTx) Abort()                      {}
+func (t *flakyTx) Commit() error {
+	if !t.fail {
+		return nil
+	}
+	if t.s.err != nil {
+		return t.s.err
+	}
+	return errFlaky
+}
+
+// TestRunRetryContract pins Run's retry loop on a fake system whose
+// transactions fail k commits before one succeeds: every transaction
+// commits once after k+1 attempts; MaxRetries m <= k starves each after m
+// attempts; an application abort is never retried.
+func TestRunRetryContract(t *testing.T) {
+	const k = 3
+	cfg := RunConfig{Clients: 1, Measure: 150 * time.Millisecond, Seed: 5}
+	eachTook := func(t *testing.T, g *flakyGen, want int) {
+		t.Helper()
+		done := g.finished()
+		if len(done) == 0 {
+			t.Fatal("no transaction finished")
+		}
+		for i, n := range done {
+			if n != want {
+				t.Fatalf("transaction %d took %d attempts, want %d", i, n, want)
+			}
+		}
+	}
+
+	t.Run("retries-until-commit", func(t *testing.T) {
+		g := &flakyGen{failures: k}
+		r := Run(&flakySystem{}, g, cfg)
+		eachTook(t, g, k+1)
+		if r.Commits == 0 || r.Starved != 0 || r.AppAborts != 0 {
+			t.Fatalf("commits=%d starved=%d appAborts=%d", r.Commits, r.Starved, r.AppAborts)
+		}
+		if r.Attempts < r.Commits*k {
+			t.Fatalf("%d attempts for %d commits: retries not counted", r.Attempts, r.Commits)
+		}
+	})
+	t.Run("max-retries-starves", func(t *testing.T) {
+		g := &flakyGen{failures: k}
+		c := cfg
+		c.MaxRetries = 2
+		r := Run(&flakySystem{}, g, c)
+		eachTook(t, g, 2)
+		if r.Commits != 0 || r.Starved == 0 {
+			t.Fatalf("commits=%d starved=%d, want 0 and >0", r.Commits, r.Starved)
+		}
+	})
+	t.Run("app-abort-not-retried", func(t *testing.T) {
+		g := &flakyGen{appAbort: true}
+		r := Run(&flakySystem{}, g, cfg)
+		eachTook(t, g, 1)
+		if r.AppAborts == 0 || r.Commits != 0 || r.Starved != 0 {
+			t.Fatalf("appAborts=%d commits=%d starved=%d", r.AppAborts, r.Commits, r.Starved)
+		}
+	})
+}
+
+// TestExecutorOpenModeRecordsTimeouts pins the one mode-dependent rule:
+// in open mode an attempt that failed other than by basil.ErrAborted is
+// terminal (Unknown, one attempt), while a definite abort is retried.
+func TestExecutorOpenModeRecordsTimeouts(t *testing.T) {
+	for _, tc := range []struct {
+		err      error
+		out      Outcome
+		attempts int
+	}{
+		{errFlaky, Unknown, 1},
+		{basil.ErrAborted, Committed, 3},
+	} {
+		g := &flakyGen{failures: 2}
+		var tally Tally
+		ex := &Executor{Sess: flakySession{&flakySystem{err: tc.err}}, Rng: rand.New(rand.NewSource(1)),
+			Tally: &tally, Open: true}
+		out, _, _ := ex.Exec(g.Next(nil), time.Now())
+		if out != tc.out || tally.Attempts.Load() != uint64(tc.attempts) {
+			t.Fatalf("%v: outcome %d after %d attempts, want %d after %d",
+				tc.err, out, tally.Attempts.Load(), tc.out, tc.attempts)
+		}
+	}
+}
+
+// TestFaultyLoadPacing bounds the faulty driver from above only — a
+// paced client sends at most Rate·t plus one burst, however the host
+// schedules it — and checks Stop returns promptly (within one pacing tick
+// plus scheduler slack), paced or not.
+func TestFaultyLoadPacing(t *testing.T) {
+	gen := plainWriteGen{}
+	sys := NewBasil(gen, basil.Options{F: 1, Shards: 1, BatchSize: 4})
+	defer sys.Close()
+	for _, rate := range []float64{100, 0} {
+		f := &FaultyLoad{Mode: client.FaultStallEarly, Fraction: 1, Rate: rate}
+		begin := time.Now()
+		f.Start([]*client.Client{sys.C.NewClient().Inner()}, gen, 1)
+		time.Sleep(200 * time.Millisecond)
+		stopAt := time.Now()
+		f.Stop()
+		stopTook := time.Since(stopAt)
+		sent := float64(f.Sent.Load())
+		if rate > 0 {
+			burst := max(rate*faultyTick.Seconds(), 1)
+			if limit := rate*time.Since(begin).Seconds() + burst; sent > limit {
+				t.Fatalf("rate %.0f/s: sent %.0f, limit %.1f", rate, sent, limit)
+			}
+		}
+		if stopTook > faultyTick+100*time.Millisecond {
+			t.Fatalf("rate %.0f/s: Stop took %v", rate, stopTook)
+		}
+	}
 }

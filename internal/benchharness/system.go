@@ -1,9 +1,11 @@
-// Package benchharness drives the paper's evaluation (§6): it runs
-// closed-loop clients over any system under test (Basil, TAPIR,
-// TxHotstuff, TxBFT-SMaRt), measures throughput and latency the way the
-// paper does (latency from first invocation to commit, aborted
-// transactions retried with exponential backoff), and defines one
-// experiment per figure/table.
+// Package benchharness drives the paper's evaluation (§6). One
+// transaction executor (Executor: retry under jittered exponential
+// backoff, outcome accounting) runs every load in the repo, fed by Run's
+// closed loop — the paper's methodology, latency from first invocation
+// to commit — or by internal/scenario's open loop. The package adapts
+// each system under test (Basil, TAPIR, TxHotstuff, TxBFT-SMaRt), drives
+// Byzantine client populations (FaultyLoad), and defines one experiment
+// per figure/table.
 package benchharness
 
 import (
@@ -12,7 +14,6 @@ import (
 	"repro/basil"
 	"repro/internal/tapir"
 	"repro/internal/txbase"
-	"repro/internal/types"
 	"repro/internal/workload"
 )
 
@@ -36,11 +37,20 @@ type System interface {
 	Close()
 }
 
+// beginner adapts a client's Begin method to Session. Every system's
+// transaction type implements SysTx itself; Basil's also carries
+// Meta() *types.TxMeta, which internal/scenario discovers by interface
+// assertion for serializability auditing.
+type beginner[T SysTx] func() T
+
+// Begin implements Session.
+func (b beginner[T]) Begin() SysTx { return b() }
+
 // --- Basil adapter ---
 
 // BasilSystem adapts basil.Cluster to the harness. It tracks the clients
-// it hands out so aggregate protocol stats (fast-path share, recoveries)
-// can be reported after a run.
+// it hands out so aggregate protocol stats (fast-path share, Overloaded
+// replies) can be reported after a run.
 type BasilSystem struct {
 	C       *basil.Cluster
 	Label   string
@@ -62,7 +72,7 @@ func (s *BasilSystem) Load(key string, value []byte) { s.C.Load(key, value) }
 func (s *BasilSystem) NewSession() Session {
 	c := s.C.NewClient()
 	s.clients = append(s.clients, c)
-	return basilSession{c: c}
+	return beginner[*basil.Txn](c.Begin)
 }
 
 // Close implements System.
@@ -82,15 +92,6 @@ func (s *BasilSystem) FastPathShare() float64 {
 	return float64(fast) / float64(fast+slow)
 }
 
-// Recoveries sums dependency-recovery invocations across sessions.
-func (s *BasilSystem) Recoveries() uint64 {
-	var n uint64
-	for _, c := range s.clients {
-		n += c.Stats().Recoveries.Load()
-	}
-	return n
-}
-
 // Overloads sums the explicit Overloaded (load-shed) replies the
 // sessions consumed — the scenario harness's admission accounting.
 func (s *BasilSystem) Overloads() uint64 {
@@ -100,21 +101,6 @@ func (s *BasilSystem) Overloads() uint64 {
 	}
 	return n
 }
-
-type basilSession struct{ c *basil.Client }
-
-func (s basilSession) Begin() SysTx { return basilTx{t: s.c.Begin()} }
-
-type basilTx struct{ t *basil.Txn }
-
-func (t basilTx) Read(k string) ([]byte, error) { return t.t.Read(k) }
-func (t basilTx) Write(k string, v []byte)      { t.t.Write(k, v) }
-func (t basilTx) Commit() error                 { return t.t.Commit() }
-func (t basilTx) Abort()                        { t.t.Abort() }
-
-// Meta exposes the transaction's metadata for serializability auditing;
-// internal/scenario discovers it by interface assertion on SysTx.
-func (t basilTx) Meta() *types.TxMeta { return t.t.Meta() }
 
 // --- TAPIR adapter ---
 
@@ -128,21 +114,10 @@ func (s *TapirSystem) Name() string { return "TAPIR" }
 func (s *TapirSystem) Load(key string, value []byte) { s.C.Load(key, value) }
 
 // NewSession implements System.
-func (s *TapirSystem) NewSession() Session { return tapirSession{c: s.C.NewClient()} }
+func (s *TapirSystem) NewSession() Session { return beginner[*tapir.Txn](s.C.NewClient().Begin) }
 
 // Close implements System.
 func (s *TapirSystem) Close() { s.C.Close() }
-
-type tapirSession struct{ c *tapir.Client }
-
-func (s tapirSession) Begin() SysTx { return tapirTx{t: s.c.Begin()} }
-
-type tapirTx struct{ t *tapir.Txn }
-
-func (t tapirTx) Read(k string) ([]byte, error) { return t.t.Read(k) }
-func (t tapirTx) Write(k string, v []byte)      { t.t.Write(k, v) }
-func (t tapirTx) Commit() error                 { return t.t.Commit() }
-func (t tapirTx) Abort()                        { t.t.Abort() }
 
 // --- ordered-log baseline adapter ---
 
@@ -156,21 +131,10 @@ func (s *TxBaseSystem) Name() string { return s.C.Kind().String() }
 func (s *TxBaseSystem) Load(key string, value []byte) { s.C.Load(key, value) }
 
 // NewSession implements System.
-func (s *TxBaseSystem) NewSession() Session { return txbaseSession{c: s.C.NewClient()} }
+func (s *TxBaseSystem) NewSession() Session { return beginner[*txbase.Txn](s.C.NewClient().Begin) }
 
 // Close implements System.
 func (s *TxBaseSystem) Close() { s.C.Close() }
-
-type txbaseSession struct{ c *txbase.Client }
-
-func (s txbaseSession) Begin() SysTx { return txbaseTx{t: s.c.Begin()} }
-
-type txbaseTx struct{ t *txbase.Txn }
-
-func (t txbaseTx) Read(k string) ([]byte, error) { return t.t.Read(k) }
-func (t txbaseTx) Write(k string, v []byte)      { t.t.Write(k, v) }
-func (t txbaseTx) Commit() error                 { return t.t.Commit() }
-func (t txbaseTx) Abort()                        { t.t.Abort() }
 
 // Populate loads a generator's initial database into a system.
 func Populate(sys System, gen workload.Generator) {

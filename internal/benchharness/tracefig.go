@@ -2,17 +2,11 @@ package benchharness
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/basil"
-	"repro/internal/cryptoutil"
-	"repro/internal/store"
 	"repro/internal/trace"
-	"repro/internal/types"
 )
 
 // stageOrder is the pipeline order the stage-breakdown table presents:
@@ -133,75 +127,10 @@ func MeasureTraceOverhead(s Scale) TraceOverhead {
 	if s.Measure >= 5*time.Second {
 		total = 6000 // the -scale full variant
 	}
-	o.BareNsPerOp = bestOf(3, func() float64 { return tracePrepareNs(total, nil) })
-	o.UnsampledNsPerOp = bestOf(3, func() float64 { return tracePrepareNs(total, tr) })
+	o.BareNsPerOp = bestOf(3, func() float64 { return prepareNs(total, nil, nil) })
+	o.UnsampledNsPerOp = bestOf(3, func() float64 { return prepareNs(total, nil, tr) })
 	o.OverheadPct = (o.UnsampledNsPerOp - o.BareNsPerOp) / o.BareNsPerOp * 100
 	return o
-}
-
-// tracePrepareNs is prepareWorkloadNs with the replica's tracing calls
-// threaded through each delivery exactly as replica ingest makes them
-// (a Start/End pair around verification and one around the store
-// check). A nil tracer is the bare baseline; a rate-zero tracer
-// measures the disabled fast path on unsampled contexts.
-func tracePrepareNs(total int, tr *trace.Tracer) float64 {
-	reg := cryptoutil.NewRegistry(cryptoutil.SchemeEd25519, 6, 1)
-	sv := cryptoutil.NewSigVerifier(reg, total)
-	st := store.NewStriped(store.DefaultStripes)
-	var tc types.TraceContext
-	if tr != nil {
-		tc, _ = tr.Begin() // rate 0: never sampled, like live traffic
-	}
-
-	type signed struct {
-		meta    *types.TxMeta
-		id      types.TxID
-		payload []byte
-		sig     types.Signature
-	}
-	msgs := make([]signed, total)
-	for i := range msgs {
-		m := &types.TxMeta{
-			Timestamp: types.Timestamp{Time: uint64(i + 1), ClientID: 1 + uint64(i%64)},
-			WriteSet:  []types.WriteEntry{{Key: fmt.Sprintf("key-%04d", i%512), Value: []byte("v")}},
-			Shards:    []int32{0},
-		}
-		id := m.ID()
-		signer := int32(i % 6)
-		msgs[i] = signed{meta: m, id: id, payload: id[:],
-			sig: types.Signature{SignerID: signer, Direct: reg.Signer(signer).Sign(id[:])}}
-	}
-
-	deliver := func(m *signed) {
-		vStart := tr.Start(tc)
-		sig := m.sig
-		if !sv.Verify(m.payload, &sig) {
-			panic("benchmark: bad signature")
-		}
-		tr.End(tc, "r0.0", "replica.verify", 0, vStart)
-		cStart := tr.Start(tc)
-		st.CheckAndPrepare(m.meta, m.id)
-		tr.End(tc, "r0.0", "replica.check", 0, cStart)
-	}
-
-	workers := runtime.GOMAXPROCS(0)
-	per := total / workers
-	var seq atomic.Uint64
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				m := &msgs[int(seq.Add(1))%len(msgs)]
-				deliver(m)
-				deliver(m)
-			}
-		}()
-	}
-	wg.Wait()
-	return float64(time.Since(start).Nanoseconds()) / float64(per*workers)
 }
 
 // FigTrace is the tracing experiment behind `-experiment trace`: the

@@ -233,17 +233,25 @@ func (a *admission) admit(from transport.Addr, msg any) bool {
 		sc = a.score(cid)
 		sc.requests.Add(1)
 	}
-	depth := a.inflight.Add(1)
-	switch {
-	case depth > a.cap:
-		a.inflight.Add(-1)
-		a.r.Stats.Shed.Add(1)
-		a.r.frec.Note("shed", "dispatch queue full")
-		a.shedReply(from, msg, sc)
-		return false
-	case sc != nil && sc.suspect() &&
+	// Reserve a slot by CAS so a refused arrival never raises the
+	// observed depth (DispatchDepth, the dispatch-depth gauge) past cap.
+	depth := a.inflight.Load()
+	for {
+		if depth >= a.cap {
+			a.r.Stats.Shed.Add(1)
+			a.r.frec.Note("shed", "dispatch queue full")
+			a.shedReply(from, msg, sc)
+			return false
+		}
+		if a.inflight.CompareAndSwap(depth, depth+1) {
+			depth++
+			break
+		}
+		depth = a.inflight.Load()
+	}
+	if sc != nil && sc.suspect() &&
 		(depth*softCapDen > a.cap*softCapNum ||
-			!sc.takeSuspectToken(a.r.cfg.Clock.NowMicros())):
+			!sc.takeSuspectToken(a.r.cfg.Clock.NowMicros())) {
 		a.inflight.Add(-1)
 		a.r.Stats.Shed.Add(1)
 		a.r.Stats.ShedReputation.Add(1)

@@ -1,6 +1,8 @@
 package replica
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -101,6 +103,64 @@ func awaitOverload(t *testing.T, ch chan *types.Overloaded) *types.Overloaded {
 	case <-time.After(5 * time.Second):
 		t.Fatal("no Overloaded reply")
 		return nil
+	}
+}
+
+// TestAdmissionDepthNeverExceedsCap hammers admit/release from several
+// goroutines while a sampler watches DispatchDepth (the
+// basil_replica_dispatch_depth gauge): a refused arrival must never raise
+// the observed depth above the cap, not even for an instant.
+func TestAdmissionDepthNeverExceedsCap(t *testing.T) {
+	const queue = 8
+	r, net := newQueuedReplica(t, queue)
+	defer net.Close()
+	defer r.Close()
+	// Replica-to-replica traffic: no client score to look up and no shed
+	// reply to send, so the hammer spends its time in admit itself.
+	msg := &types.ElectFB{}
+	from := transport.ReplicaAddr(0, 1)
+
+	var stop atomic.Bool
+	var maxSeen atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for !stop.Load() {
+			if d := r.DispatchDepth(); d > maxSeen.Load() {
+				maxSeen.Store(d)
+			}
+		}
+	}()
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Admit every round, release every other: the queue sits at
+			// the cap and churns there.
+			held := 0
+			for i := 0; !stop.Load(); i++ {
+				if r.adm.admit(from, msg) {
+					held++
+				}
+				if i%2 == 1 && held > 0 {
+					r.adm.release()
+					held--
+				}
+			}
+		}()
+	}
+	deadline := time.Now().Add(500 * time.Millisecond)
+	for time.Now().Before(deadline) && maxSeen.Load() <= queue {
+		time.Sleep(5 * time.Millisecond)
+	}
+	stop.Store(true)
+	wg.Wait()
+	if got := maxSeen.Load(); got > queue {
+		t.Fatalf("dispatch depth reached %d, cap is %d", got, queue)
+	}
+	if r.Stats.Shed.Load() == 0 {
+		t.Fatal("hammer never reached the cap: no sheds")
 	}
 }
 

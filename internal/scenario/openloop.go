@@ -1,14 +1,12 @@
 package scenario
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/basil"
 	"repro/internal/benchharness"
 	"repro/internal/metrics"
 	"repro/internal/types"
@@ -161,16 +159,12 @@ func OpenLoad(sys benchharness.System, gen workload.Generator, cfg LoadConfig) O
 	total := cfg.Total()
 
 	var (
-		offered   atomic.Uint64
-		commits   atomic.Uint64
-		appAborts atomic.Uint64
-		starved   atomic.Uint64
-		unknowns  atomic.Uint64
-		dropped   atomic.Uint64
+		offered atomic.Uint64
+		dropped atomic.Uint64
+		tally   benchharness.Tally // every completion counts: no window gate
 
 		calmLat  = &metrics.Histogram{}
 		stormLat = &metrics.Histogram{}
-		allLat   = &metrics.Histogram{}
 	)
 	// Commit bins: generously sized for the drain tail after the last
 	// arrival; completions past the end clamp into the final bin.
@@ -181,14 +175,25 @@ func OpenLoad(sys benchharness.System, gen workload.Generator, cfg LoadConfig) O
 		metas        []*types.TxMeta
 		unknownMetas []*types.TxMeta
 	)
+	keep := func(list *[]*types.TxMeta, tx benchharness.SysTx) {
+		if mt, ok := tx.(metaTx); ok {
+			mu.Lock()
+			*list = append(*list, mt.Meta())
+			mu.Unlock()
+		}
+	}
 
 	arrivals := make(chan arrival, cfg.MaxPending)
 	start := time.Now()
 
 	var wg sync.WaitGroup
 	for w := 0; w < cfg.Sessions; w++ {
-		sess := sys.NewSession()
-		rng := rand.New(rand.NewSource(cfg.Seed + 7_000_003*int64(w+1)))
+		// A timeout is terminal for its arrival (Unknown, resolved after
+		// the run); a definite abort retries up to MaxRetries times.
+		ex := &benchharness.Executor{
+			Sess: sys.NewSession(), Rng: rand.New(rand.NewSource(cfg.Seed + 7_000_003*int64(w+1))),
+			Tally: &tally, MaxAttempts: cfg.MaxRetries + 1, Open: true,
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -196,66 +201,19 @@ func OpenLoad(sys benchharness.System, gen workload.Generator, cfg LoadConfig) O
 				// The user's own deterministic stream: which session runs
 				// the request must not change what the user asked for.
 				userRng := rand.New(rand.NewSource(int64(userStream(cfg.Seed, a.user, a.userSeq))))
-				fn := gen.Next(userRng)
-				backoff := 500 * time.Microsecond
-				for attempt := 0; ; attempt++ {
-					tx := sess.Begin()
-					err := fn.Body(tx)
-					if err == nil {
-						err = tx.Commit()
-					} else {
-						tx.Abort()
+				out, lat, tx := ex.Exec(gen.Next(userRng), start.Add(a.due))
+				switch out {
+				case benchharness.Committed:
+					switch classify(a.due, cfg.StormStart, cfg.StormEnd) {
+					case classCalm:
+						calmLat.Observe(lat)
+					case classStorm:
+						stormLat.Observe(lat)
 					}
-					if err == nil {
-						lat := time.Since(start) - a.due
-						if lat < 0 {
-							lat = 0
-						}
-						allLat.Observe(lat)
-						switch classify(a.due, cfg.StormStart, cfg.StormEnd) {
-						case classCalm:
-							calmLat.Observe(lat)
-						case classStorm:
-							stormLat.Observe(lat)
-						}
-						idx := int((a.due + lat) / cfg.Bin)
-						if idx >= len(bins) {
-							idx = len(bins) - 1
-						}
-						bins[idx].Add(1)
-						commits.Add(1)
-						if mt, ok := tx.(metaTx); ok {
-							mu.Lock()
-							metas = append(metas, mt.Meta())
-							mu.Unlock()
-						}
-						break
-					}
-					if errors.Is(err, workload.ErrWorkloadAbort) {
-						appAborts.Add(1)
-						break
-					}
-					if !errors.Is(err, basil.ErrAborted) {
-						// Timeout mid-protocol: the outcome is unknown and
-						// terminal for this arrival; the run resolves it
-						// afterwards through the recovery protocol.
-						unknowns.Add(1)
-						if mt, ok := tx.(metaTx); ok {
-							mu.Lock()
-							unknownMetas = append(unknownMetas, mt.Meta())
-							mu.Unlock()
-						}
-						break
-					}
-					// Definite serializability abort: retry with backoff.
-					if attempt >= cfg.MaxRetries {
-						starved.Add(1)
-						break
-					}
-					time.Sleep(backoff + time.Duration(rng.Int63n(int64(backoff))))
-					if backoff < 20*time.Millisecond {
-						backoff *= 2
-					}
+					bins[min(int((a.due+lat)/cfg.Bin), len(bins)-1)].Add(1)
+					keep(&metas, tx)
+				case benchharness.Unknown:
+					keep(&unknownMetas, tx)
 				}
 			}
 		}()
@@ -301,15 +259,15 @@ func OpenLoad(sys benchharness.System, gen workload.Generator, cfg LoadConfig) O
 
 	res := OpenResult{
 		Offered:   offered.Load(),
-		Commits:   commits.Load(),
-		AppAborts: appAborts.Load(),
-		Starved:   starved.Load(),
-		Unknowns:  unknowns.Load(),
+		Commits:   tally.Outcomes[benchharness.Committed].Load(),
+		AppAborts: tally.Outcomes[benchharness.AppAborted].Load(),
+		Starved:   tally.Outcomes[benchharness.Starved].Load(),
+		Unknowns:  tally.Outcomes[benchharness.Unknown].Load(),
 		Dropped:   dropped.Load(),
 		Elapsed:   time.Since(start),
 		BinDur:    cfg.Bin,
 	}
-	calm, storm, all := calmLat.SnapshotHist(), stormLat.SnapshotHist(), allLat.SnapshotHist()
+	calm, storm, all := calmLat.SnapshotHist(), stormLat.SnapshotHist(), tally.Lat.SnapshotHist()
 	const ms = 1e6
 	res.CalmMeanMs = calm.MeanNanos() / ms
 	res.CalmP99Ms = calm.Quantile(0.99) / ms

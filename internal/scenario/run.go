@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"os"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/basil"
@@ -28,7 +27,6 @@ type Result struct {
 	Open          OpenResult
 	ThroughputTxs float64
 	Sheds         uint64
-	RepSheds      uint64
 	Overloads     uint64
 	SpamSent      uint64
 	Unresolved    int
@@ -120,39 +118,14 @@ func RunScenario(sc Scenario, seed int64, tn Tuning) (Result, error) {
 	// Spammers (if any) attack for the whole run: stall-early blind
 	// writes over a private key range, paced so the in-process attacker
 	// saturates intake without out-spinning its victims for CPU.
-	stopSpam := make(chan struct{})
-	var spamWG sync.WaitGroup
-	var spamSent atomic.Uint64
-	for i := 0; i < sc.Spammers; i++ {
-		c := cl.NewClient()
-		rng := rand.New(rand.NewSource(seed + 900_001 + int64(i)*104729))
-		spamWG.Add(1)
-		go func() {
-			defer spamWG.Done()
-			inner := c.Inner()
-			rate := float64(sc.SpamRate) * tn.SpamScale
-			const tick = 2 * time.Millisecond
-			burst := int(rate * tick.Seconds())
-			if burst < 1 {
-				burst = 1
-			}
-			for {
-				select {
-				case <-stopSpam:
-					return
-				default:
-				}
-				for b := 0; b < burst; b++ {
-					key := fmt.Sprintf("spam:%d", rng.Uint64()%512)
-					tx := inner.Begin()
-					tx.Write(key, []byte{byte(b)})
-					inner.CommitFaulty(tx, client.FaultStallEarly)
-					spamSent.Add(1)
-				}
-				time.Sleep(tick)
-			}
-		}()
+	spam := &benchharness.FaultyLoad{
+		Mode: client.FaultStallEarly, Fraction: 1, Rate: float64(sc.SpamRate) * tn.SpamScale,
 	}
+	spammers := make([]*client.Client, sc.Spammers)
+	for i := range spammers {
+		spammers[i] = cl.NewClient().Inner()
+	}
+	spam.Start(spammers, blindWrites{keys: 512}, seed+900_001)
 
 	// The storm: chaos schedule over the open-loop run.
 	stopChaos := make(chan struct{})
@@ -164,8 +137,7 @@ func RunScenario(sc Scenario, seed int64, tn Tuning) (Result, error) {
 
 	close(stopChaos)
 	chaosWG.Wait()
-	close(stopSpam)
-	spamWG.Wait()
+	spam.Stop()
 
 	// Quiesce: release every injector so the post-run resolution and
 	// audit see a healthy cluster (the storm itself is already over).
@@ -216,7 +188,7 @@ func RunScenario(sc Scenario, seed int64, tn Tuning) (Result, error) {
 		Name: sc.Name, Desc: sc.Desc, Seed: seed,
 		Open:          open,
 		ThroughputTxs: float64(open.Commits) / open.Elapsed.Seconds(),
-		SpamSent:      spamSent.Load(),
+		SpamSent:      spam.Sent.Load(),
 		Unresolved:    len(pending),
 		Audited:       audited,
 		FastPathShare: sys.FastPathShare(),
@@ -224,9 +196,7 @@ func RunScenario(sc Scenario, seed int64, tn Tuning) (Result, error) {
 	}
 	for s := 0; s < cl.Shards(); s++ {
 		for i := 0; i < cl.ReplicaCount(); i++ {
-			r := cl.Replica(s, i)
-			res.Sheds += r.Stats.Shed.Load()
-			res.RepSheds += r.Stats.ShedReputation.Load()
+			res.Sheds += cl.Replica(s, i).Stats.Shed.Load()
 		}
 	}
 	res.Overloads = sys.Overloads()
@@ -288,4 +258,23 @@ func auditReads(cl *basil.Cluster, gen *workload.YCSB, keys uint64, checker *ver
 		}
 	}
 	return audited
+}
+
+// blindWrites is the spammers' transaction body: one blind write over a
+// private spam:N key range, no reads. A body with reads would throttle
+// the spammer on its own round trips, and disjoint keys keep the attack
+// a pure intake flood: honest transactions never read the spammer's
+// abandoned prepared writes, so honest degradation is queueing, not
+// dependency poisoning.
+type blindWrites struct{ keys uint64 }
+
+func (blindWrites) Name() string                  { return "blind-writes" }
+func (blindWrites) Populate(func(string, []byte)) {}
+
+func (g blindWrites) Next(rng *rand.Rand) workload.TxnFunc {
+	key := fmt.Sprintf("spam:%d", rng.Uint64()%g.keys)
+	return workload.TxnFunc{Name: "spam", Body: func(tx workload.Tx) error {
+		tx.Write(key, []byte{1})
+		return nil
+	}}
 }

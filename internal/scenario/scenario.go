@@ -77,9 +77,9 @@ type Scenario struct {
 	EquivReplica    int
 
 	// Byzantine client-side spam running for the whole scenario:
-	// Spammers stall-early blind-write clients paced at SpamRate ST1
-	// broadcasts per second each (see internal/benchharness/admission.go
-	// for why spam is write-only and paced).
+	// Spammers stall-early blind-write clients (benchharness.FaultyLoad)
+	// paced at SpamRate ST1 broadcasts per second each (see blindWrites
+	// in run.go for why spam is write-only).
 	Spammers int
 	SpamRate int
 

@@ -11,7 +11,7 @@ import (
 
 // Finding is one reported invariant violation.
 type Finding struct {
-	Code string `json:"code"` // BV000..BV008
+	Code string `json:"code"` // BV000..BV009
 	File string `json:"file"`
 	Line int    `json:"line"`
 	Col  int    `json:"col"`
@@ -106,6 +106,7 @@ var passes = []pass{
 	metricDefinitionSite, // BV006
 	unboundedIntake,      // BV007
 	adminHandlerLocks,    // BV008
+	orphanPackage,        // BV009
 }
 
 // analyze runs every pass on pkg and filters results through its

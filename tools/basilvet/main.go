@@ -42,6 +42,9 @@
 //	       acquires Replica.mu; admin/debug endpoints must snapshot
 //	       through a Replica accessor and serve the copy, never hold
 //	       protocol locks while serving.
+//	BV009 orphan-package       — a package under an internal/
+//	       directory has no non-test importer anywhere in the tree
+//	       Go lets import it: dead code its own tests keep alive.
 //
 // Suppression: a finding line (or the line above it) may carry
 // `//nolint:basilvet — <justification>`. The justification is mandatory;
