@@ -33,7 +33,7 @@ linkcheck:
 
 # Project invariants go vet cannot see — lock discipline, log-before-
 # externalize, error/goroutine hygiene, metrics tax and definition sites;
-# tools/basilvet fails on unjustified violations (codes BV000-BV009,
+# tools/basilvet fails on unjustified violations (codes BV000-BV010,
 # documented in ARCHITECTURE.md "Machine-checked invariants").
 invariant-check:
 	$(GO) run ./tools/basilvet ./internal/... ./basil ./cmd/...

@@ -14,8 +14,8 @@ import (
 // burning its whole deadline waiting for a reply that was never queued.
 //
 // All of this runs on the client's own goroutine: Overloaded replies reach
-// the collect loops through the pending-request channel (Deliver routes
-// them by ReqID), so the hint field and rng need no locking.
+// the collector (collect.go) through the pending-request channel (Deliver
+// routes them by ReqID), so the hint field and rng need no locking.
 
 const (
 	baseRetryDelay = 2 * time.Millisecond
@@ -62,46 +62,4 @@ func (c *Client) takeRetryAfter() time.Duration {
 	h := c.retryHint
 	c.retryHint = 0
 	return h
-}
-
-// overloadRetry paces resends for a collect loop whose requests were shed.
-// The loop selects on C; note() arms the timer on the first Overloaded of
-// a cycle, fire() rebroadcasts and re-opens the cycle with exponentially
-// longer spacing.
-type overloadRetry struct {
-	c        *Client
-	resend   func()
-	attempts int
-	timer    *time.Timer
-	C        <-chan time.Time
-}
-
-func newOverloadRetry(c *Client, resend func()) *overloadRetry {
-	return &overloadRetry{c: c, resend: resend}
-}
-
-// note handles one Overloaded reply: records the hint and, if no resend is
-// already pending, arms the retry timer.
-func (o *overloadRetry) note(m *types.Overloaded) {
-	o.c.noteOverloaded(m)
-	if o.timer == nil {
-		o.timer = time.NewTimer(o.c.retryDelay(o.attempts, o.c.takeRetryAfter()))
-		o.C = o.timer.C
-	}
-}
-
-// fire runs the pending resend; call it when C delivers.
-func (o *overloadRetry) fire() {
-	o.attempts++
-	o.timer = nil
-	o.C = nil
-	if o.resend != nil {
-		o.resend()
-	}
-}
-
-func (o *overloadRetry) stop() {
-	if o.timer != nil {
-		o.timer.Stop()
-	}
 }

@@ -3,6 +3,13 @@
 // §4), validates replica replies and certificates, and runs the recovery
 // protocol for stalled transactions (paper §5).
 //
+// Every phase — a read, stage-1 votes, stage-2 logging, RP recovery and
+// each fallback round — is one collector plus one accumulator
+// (collect.go). The collector owns the I/O: the reply channel, the phase
+// and FastPathWait timers, resends and Overloaded pacing, and it is where
+// a phase gives up. The accumulator folds one reply at a time into its
+// state, does no I/O, and says when its phase is done.
+//
 // Ownership: a Client is the paper's closed-loop actor — one transaction
 // at a time, driven by one goroutine; run one Client per concurrent
 // actor. Internally the reply mux (pending map) is mutex-guarded because
@@ -36,8 +43,8 @@ var (
 	// ErrTimeout reports that a protocol phase starved even after
 	// recovery; only possible under severe partitions.
 	ErrTimeout = errors.New("basil: protocol timeout")
-	// ErrConflictPending is returned internally when votes cannot yet be
-	// classified.
+	// errPending is returned internally when votes cannot yet be
+	// classified, or a phase ended without the quorum it waited for.
 	errPending = errors.New("basil: tally pending")
 )
 
@@ -128,6 +135,9 @@ type Client struct {
 	retryHint time.Duration
 
 	Stats Stats
+	// timeouts counts give-ups per phase (collect.go), exported as
+	// basil_client_timeouts_total{phase}.
+	timeouts [len(phaseNames)]atomic.Uint64
 
 	// reg is the metrics registry; the histograms are nil-safe no-op
 	// handles when instrumentation is off (metrics.Nop). timed caches
@@ -140,8 +150,8 @@ type Client struct {
 	hTxn    *metrics.Histogram // end-to-end Begin -> successful commit
 
 	// Tracing state for the current transaction. Plain fields are safe
-	// under the one-goroutine-per-Client contract: every collect loop and
-	// note runs on the client's own goroutine (Deliver only forwards into
+	// under the one-goroutine-per-Client contract: the collector and every
+	// note run on the client's own goroutine (Deliver only forwards into
 	// channels). tracer is nil-safe throughout.
 	tracer    *trace.Tracer
 	traceNode string             // span node label, e.g. "c7"
@@ -286,16 +296,8 @@ func (c *Client) replicasOf(s int32) []transport.Addr {
 	return transport.ShardAddrs(s, c.qc.N())
 }
 
-// send transmits msg to one replica.
-func (c *Client) send(to transport.Addr, msg any) {
-	c.cfg.Net.Send(c.addr, to, msg)
-}
-
 // broadcastShard sends msg to every replica of shard s, encoding the
 // body once on wire transports.
 func (c *Client) broadcastShard(s int32, msg any) {
 	c.cfg.Net.SendAll(c.addr, c.replicasOf(s), msg)
 }
-
-// now returns the client's current timestamp time component.
-func (c *Client) now() uint64 { return c.cfg.Clock.NowMicros() }

@@ -1,8 +1,6 @@
 package client
 
 import (
-	"time"
-
 	"repro/internal/transport"
 	"repro/internal/types"
 )
@@ -58,9 +56,8 @@ func (c *Client) CommitFaulty(t *Txn, mode FaultMode) bool {
 		return true // never even look at the votes
 	}
 
-	// Gather votes like a correct client would.
-	tallies := newTallies(meta.Shards)
-	res, err := c.collectVotes(id, tallies, ch, time.Now().Add(c.cfg.RetryTimeout), meta, t.depMetas, nil)
+	// Gather votes like a correct client would, minus the resends.
+	res, err := c.stage1(meta, id, t.depMetas, ch, nil)
 	if err != nil {
 		return false
 	}
@@ -70,7 +67,7 @@ func (c *Client) CommitFaulty(t *Txn, mode FaultMode) bool {
 		// Make the decision durable if the slow path requires it, then
 		// withhold the writeback so dependents must recover.
 		if !res.fast {
-			_, _ = c.logDecision(meta, id, res, 0)
+			_, _ = c.logDecision(meta, id, res)
 		}
 		return true
 	case FaultEquivReal, FaultEquivForced:
@@ -78,7 +75,7 @@ func (c *Client) CommitFaulty(t *Txn, mode FaultMode) bool {
 		if !can {
 			// Equivocation impossible: fall back to stalling late.
 			if !res.fast {
-				_, _ = c.logDecision(meta, id, res, 0)
+				_, _ = c.logDecision(meta, id, res)
 			}
 			return false
 		}
@@ -142,15 +139,13 @@ func (c *Client) sendConflictingST2(meta *types.TxMeta, id types.TxID, commitT, 
 		ReqID: reqID, ClientID: uint64(c.cfg.ID), TxID: id, Meta: meta,
 		Decision: types.DecisionCommit, Tallies: commitT,
 	}
-	abortReq := &types.ST2Request{
-		ReqID: reqID, ClientID: uint64(c.cfg.ID), TxID: id, Meta: meta,
-		Decision: types.DecisionAbort, Tallies: abortT,
-	}
+	abortReq := *commitReq
+	abortReq.Decision, abortReq.Tallies = types.DecisionAbort, abortT
 	for i := 0; i < n; i++ {
 		msg := any(commitReq)
 		if i%2 == 1 {
-			msg = abortReq
+			msg = &abortReq
 		}
-		c.send(transport.ReplicaAddr(logShard, int32(i)), msg)
+		c.cfg.Net.Send(c.addr, transport.ReplicaAddr(logShard, int32(i)), msg)
 	}
 }

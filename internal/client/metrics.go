@@ -27,6 +27,9 @@ func (c *Client) initMetrics(reg *metrics.Registry) {
 	reg.BindCounter("basil_client_fallback_rounds_total", &c.Stats.FallbackRounds, lbl...)
 	reg.BindCounter("basil_client_read_retries_total", &c.Stats.ReadRetries, lbl...)
 	reg.BindCounter("basil_client_overloads_total", &c.Stats.Overloads, lbl...)
+	for p, name := range phaseNames {
+		reg.BindCounter("basil_client_timeouts_total", &c.timeouts[p], "client", lbl[1], "phase", name)
+	}
 	c.hRead = reg.Histogram("basil_client_read_latency_seconds", lbl...)
 	c.hCommit = reg.Histogram("basil_client_commit_latency_seconds", lbl...)
 	c.hTxn = reg.Histogram("basil_client_txn_latency_seconds", lbl...)

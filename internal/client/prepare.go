@@ -85,18 +85,17 @@ func (t *shardTally) toVoteTally(id types.TxID, qc quorum.Config) types.VoteTall
 	return vt
 }
 
-// acceptST1Reply validates and tallies one ST1 vote. It returns true if
-// the reply advanced the tally.
-func (c *Client) acceptST1Reply(id types.TxID, tallies map[int32]*shardTally, r *types.ST1Reply) bool {
+// acceptST1Reply validates and tallies one ST1 vote.
+func (c *Client) acceptST1Reply(id types.TxID, tallies map[int32]*shardTally, r *types.ST1Reply) {
 	t := tallies[r.ShardID]
 	if t == nil || r.TxID != id || r.Vote == types.VoteNone {
-		return false
+		return
 	}
 	if c.qv.VerifyST1Reply(r, id) != nil {
-		return false
+		return
 	}
 	if !t.add(r) {
-		return false
+		return
 	}
 	if r.Vote == types.VoteAbort && r.BlockedBy != nil && len(t.blockers) < 4 {
 		t.blockers[r.BlockedBy.ID()] = r.BlockedBy
@@ -112,7 +111,6 @@ func (c *Client) acceptST1Reply(id types.TxID, tallies map[int32]*shardTally, r 
 			t.conflictVote = r
 		}
 	}
-	return true
 }
 
 // prepareResult is the aggregate of stage 1.
@@ -150,14 +148,87 @@ func (c *Client) decide(tallies map[int32]*shardTally) (prepareResult, error) {
 	return res, nil
 }
 
+// votes is stage 1's accumulator (paper §4.2 step 4): it tallies verified
+// votes per shard, finishes once every shard settles, and settles once
+// every shard classifies.
+type votes struct {
+	c        *Client
+	id       types.TxID
+	tallies  map[int32]*shardTally
+	deadline time.Time // the commit attempt's RetryTimeout
+}
+
+func (v *votes) add(m any) progress {
+	if r, ok := m.(*types.ST1Reply); ok && r.RPKind != types.RPCert && r.ST2R == nil {
+		v.c.acceptST1Reply(v.id, v.tallies, r)
+	}
+	settled, classified := true, true
+	for _, t := range v.tallies {
+		settled = settled && t.settled(v.c.qc)
+		classified = classified && t.outcome(v.c.qc) != quorum.OutcomePending
+	}
+	switch {
+	case settled:
+		return finished
+	case classified:
+		return settling // give stragglers FastPathWait to complete the fast path
+	}
+	return collecting
+}
+
+// expire keeps waiting until the deadline: replicas queue our vote request
+// and answer once their dependency wait resolves.
+func (v *votes) expire() error {
+	if time.Now().After(v.deadline) {
+		return ErrTimeout
+	}
+	return errRearm
+}
+
+// stage1 collects meta's stage-1 votes from ch and decides. On each phase
+// tick it rebroadcasts st1 to unsettled shards (st1 nil: never resends),
+// and the first tick finishes stalled dependencies, unblocking the
+// replicas that defer our vote (paper §5).
+func (c *Client) stage1(meta *types.TxMeta, id types.TxID, depMetas map[types.TxID]*types.TxMeta,
+	ch <-chan any, st1 *types.ST1Request) (prepareResult, error) {
+	v := &votes{c: c, id: id, tallies: newTallies(meta.Shards), deadline: time.Now().Add(c.cfg.RetryTimeout)}
+	var resend func()
+	if st1 != nil {
+		resend = c.resendUnsettled(v.tallies, st1)
+	}
+	var tick func()
+	if len(depMetas) > 0 {
+		tick = func() {
+			c.Stats.Recoveries.Add(1)
+			for _, dm := range depMetas {
+				_, _, _ = c.FinishTransaction(dm)
+			}
+		}
+	}
+	if err := c.collect(ch, v, phasePrepare, resend, tick); err != nil {
+		return prepareResult{}, err
+	}
+	return c.decide(v.tallies)
+}
+
+// resendUnsettled rebroadcasts msg only to shards that can still improve:
+// settled tallies owe us nothing, and re-asking them is pure load.
+func (c *Client) resendUnsettled(tallies map[int32]*shardTally, msg any) func() {
+	return func() {
+		for s, t := range tallies {
+			if !t.settled(c.qc) {
+				c.broadcastShard(s, msg)
+			}
+		}
+	}
+}
+
 // runPrepare executes stage 1 (vote aggregation), optionally stage 2
 // (decision logging) and the writeback phase for meta. depMetas supplies
 // writer metadata for this transaction's dependencies so stalled ones can
 // be finished (paper §5).
 func (c *Client) runPrepare(meta *types.TxMeta, depMetas map[types.TxID]*types.TxMeta) (types.Decision, error) {
 	id := meta.ID()
-	deadline := time.Now().Add(c.cfg.RetryTimeout)
-
 	reqID, ch := c.newRequest(c.qc.N() * len(meta.Shards) * 2)
 	defer c.endRequest(reqID)
 	prepStart := c.tracer.Start(c.curTC)
@@ -165,48 +236,40 @@ func (c *Client) runPrepare(meta *types.TxMeta, depMetas map[types.TxID]*types.T
 	for _, s := range meta.Shards {
 		c.broadcastShard(s, st1)
 	}
-
-	tallies := newTallies(meta.Shards)
-	resend := func() {
-		// Rebroadcast only to shards that can still improve: settled
-		// tallies owe us nothing, and re-asking them is pure load.
-		for _, s := range meta.Shards {
-			if !tallies[s].settled(c.qc) {
-				c.broadcastShard(s, st1)
-			}
-		}
-	}
-	res, err := c.collectVotes(id, tallies, ch, deadline, meta, depMetas, resend)
+	res, err := c.stage1(meta, id, depMetas, ch, st1)
 	c.tracer.End(c.curTC, c.traceNode, "client.prepare", c.curRoot, prepStart)
 	if err != nil {
 		return types.DecisionNone, err
 	}
-
 	if res.fast {
 		c.Stats.FastPathTaken.Add(1)
-		cert := c.buildFastCert(id, meta, res)
-		c.writeback(meta, res.decision, cert)
-		if res.decision == types.DecisionAbort {
-			c.recoverBlockers(tallies)
-		}
-		return res.decision, nil
+	} else {
+		c.Stats.SlowPathTaken.Add(1)
 	}
-	c.Stats.SlowPathTaken.Add(1)
-	cert, err := c.logDecision(meta, id, res, 0)
-	if err != nil {
+	if _, err := c.finish(meta, id, res); err != nil {
 		// The logging shard disagreed or starved: recover our own
 		// transaction via the fallback.
-		dec, _, rerr := c.FinishTransaction(meta)
-		if rerr != nil {
-			return types.DecisionNone, rerr
-		}
-		return dec, nil
+		dec, _, err := c.FinishTransaction(meta)
+		return dec, err
 	}
-	c.writeback(meta, res.decision, cert)
 	if res.decision == types.DecisionAbort {
-		c.recoverBlockers(tallies)
+		c.recoverBlockers(res.tallies)
 	}
 	return res.decision, nil
+}
+
+// finish makes res durable — its fast-path certificate, or a logged one
+// from stage 2 — and writes it back (paper §4.2–4.3).
+func (c *Client) finish(meta *types.TxMeta, id types.TxID, res prepareResult) (*types.DecisionCert, error) {
+	var cert *types.DecisionCert
+	var err error
+	if res.fast {
+		cert = c.buildFastCert(id, meta, res)
+	} else if cert, err = c.logDecision(meta, id, res); err != nil {
+		return nil, err
+	}
+	c.writeback(meta, res.decision, cert)
+	return cert, nil
 }
 
 // recoverBlockers finishes the prepared-but-undecided transactions that
@@ -226,94 +289,6 @@ func (c *Client) recoverBlockers(tallies map[int32]*shardTally) {
 			done++
 			c.Stats.Recoveries.Add(1)
 			_, _, _ = c.FinishTransaction(meta)
-		}
-	}
-}
-
-// collectVotes gathers ST1 replies until every shard settles. On phase
-// timeouts it recovers stalled dependencies, rebroadcasts to unsettled
-// shards and keeps waiting (replicas queue our vote request and answer
-// once their dependency wait resolves). Overloaded shed replies schedule
-// a jittered backoff resend instead of waiting out the phase timer.
-func (c *Client) collectVotes(id types.TxID, tallies map[int32]*shardTally, ch chan any,
-	deadline time.Time, meta *types.TxMeta, depMetas map[types.TxID]*types.TxMeta, resend func()) (prepareResult, error) {
-
-	retry := newOverloadRetry(c, resend)
-	defer retry.stop()
-	recovered := false
-	var fastTimer *time.Timer
-	var fastC <-chan time.Time
-	fastExpired := false
-	phase := time.NewTimer(c.cfg.PhaseTimeout)
-	defer phase.Stop()
-	defer func() {
-		if fastTimer != nil {
-			fastTimer.Stop()
-		}
-	}()
-
-	ready := func() (prepareResult, bool) {
-		allSettled := true
-		anyPending := false
-		for _, t := range tallies {
-			if !t.settled(c.qc) {
-				allSettled = false
-			}
-			if t.outcome(c.qc) == quorum.OutcomePending {
-				anyPending = true
-			}
-		}
-		if allSettled || (fastExpired && !anyPending) {
-			res, err := c.decide(tallies)
-			if err == nil {
-				return res, true
-			}
-		}
-		if !anyPending && fastTimer == nil && !allSettled {
-			// Classifiable but not fast-settled: give stragglers a short
-			// window to complete the fast path, then decide.
-			fastTimer = time.NewTimer(c.cfg.FastPathWait)
-			fastC = fastTimer.C
-		}
-		return prepareResult{}, false
-	}
-
-	for {
-		if res, ok := ready(); ok {
-			return res, nil
-		}
-		select {
-		case m := <-ch:
-			switch r := m.(type) {
-			case *types.ST1Reply:
-				if r.RPKind != types.RPCert && r.ST2R == nil {
-					c.acceptST1Reply(id, tallies, r)
-				}
-			case *types.Overloaded:
-				retry.note(r)
-			}
-		case <-retry.C:
-			retry.fire()
-		case <-fastC:
-			fastExpired = true
-			fastC = nil
-		case <-phase.C:
-			if time.Now().After(deadline) {
-				return prepareResult{}, ErrTimeout
-			}
-			if !recovered && len(depMetas) > 0 {
-				recovered = true
-				c.Stats.Recoveries.Add(1)
-				for _, dm := range depMetas {
-					// Finishing a stalled dependency unblocks the replicas
-					// deferring our vote (paper §5).
-					_, _, _ = c.FinishTransaction(dm)
-				}
-			}
-			if resend != nil {
-				resend() // replies may have been shed silently at the hard cap
-			}
-			phase.Reset(c.cfg.PhaseTimeout)
 		}
 	}
 }
@@ -354,92 +329,39 @@ func (c *Client) buildFastCert(id types.TxID, meta *types.TxMeta, res prepareRes
 }
 
 // logDecision runs stage 2: store the decision on the logging shard and
-// assemble the V-CERT_Slog from n-f matching acknowledgements.
-func (c *Client) logDecision(meta *types.TxMeta, id types.TxID, res prepareResult, view uint64) (*types.DecisionCert, error) {
-	tallies := make([]types.VoteTally, 0, len(res.tallies))
-	for _, t := range res.tallies {
-		tallies = append(tallies, t.toVoteTally(id, c.qc))
-	}
+// assemble the V-CERT_Slog from n-f matching acknowledgements. A logging
+// shard that logged another decision (another client or an equivocator
+// raced us) yields errPending, so the caller falls back to recovery.
+func (c *Client) logDecision(meta *types.TxMeta, id types.TxID, res prepareResult) (*types.DecisionCert, error) {
 	reqID, ch := c.newRequest(c.qc.N() * 2)
 	defer c.endRequest(reqID)
 	st2Start := c.tracer.Start(c.curTC)
 	st2 := &types.ST2Request{
 		ReqID: reqID, ClientID: uint64(c.cfg.ID), TxID: id, Meta: meta,
-		Decision: res.decision, Tallies: tallies, View: view, TC: c.curTC,
+		Decision: res.decision, Tallies: c.voteTallies(id, res.tallies), TC: c.curTC,
 	}
-	c.broadcastShard(meta.LogShard(), st2)
-	st2rs, err := c.collectST2(id, meta.LogShard(), res.decision, ch,
-		func() { c.broadcastShard(meta.LogShard(), st2) })
+	resend := func() { c.broadcastShard(meta.LogShard(), st2) }
+	resend()
+	q := c.newST2Quorum(id, meta.LogShard(), res.decision, make(map[int32]types.ST2Reply))
+	err := c.collect(ch, q, phaseST2, resend, nil)
 	c.tracer.End(c.curTC, c.traceNode, "client.st2", c.curRoot, st2Start)
+	if err == nil && q.cert.Decision != res.decision {
+		err = errPending
+	}
 	if err != nil {
 		return nil, err
 	}
-	vote := types.VoteCommit
-	if res.decision == types.DecisionAbort {
-		vote = types.VoteAbort
-	}
-	return &types.DecisionCert{
-		TxID: id, Decision: res.decision,
-		Shards: []types.ShardCert{{
-			ShardID: meta.LogShard(), Kind: types.CertST2Logged, Vote: vote, ST2Rs: st2rs,
-		}},
-	}, nil
+	return q.cert, nil
 }
 
-// collectST2 waits for n-f ST2 acknowledgements from the logging shard
-// matching the expected decision (and a single decision view). A
-// mismatching ST2R means another client (or an equivocator) raced us:
-// surface an error so the caller falls back to recovery. Replies from any
-// shard but logShard are rejected — signatures bind a reply to its own
-// shard's replica, not to the shard this request logged on (same
-// cross-shard confusion as the read path).
-func (c *Client) collectST2(id types.TxID, logShard int32, want types.Decision, ch chan any,
-	resend func()) ([]types.ST2Reply, error) {
-	byKey := make(map[uint64][]types.ST2Reply) // viewDecision -> replies
-	seen := make(map[int32]bool)
-	mismatch := false
-	retry := newOverloadRetry(c, resend)
-	defer retry.stop()
-	deadline := time.NewTimer(c.cfg.PhaseTimeout)
-	defer deadline.Stop()
-	for {
-		select {
-		case <-retry.C:
-			retry.fire()
-			continue
-		case m := <-ch:
-			if ov, isOv := m.(*types.Overloaded); isOv {
-				retry.note(ov)
-				continue
-			}
-			r, ok := m.(*types.ST2Reply)
-			if !ok {
-				// ST1Reply stragglers from stage 1 reuse the channel space;
-				// RPCert replies are handled by recovery paths.
-				continue
-			}
-			if r.TxID != id || r.ShardID != logShard || seen[r.ReplicaID] {
-				continue
-			}
-			if c.qv.VerifyST2Reply(r, id) != nil {
-				continue
-			}
-			seen[r.ReplicaID] = true
-			if r.Decision != want {
-				mismatch = true
-				continue
-			}
-			byKey[r.ViewDecision] = append(byKey[r.ViewDecision], *r)
-			if len(byKey[r.ViewDecision]) >= c.qc.LogQuorum() {
-				return byKey[r.ViewDecision], nil
-			}
-		case <-deadline.C:
-			if mismatch {
-				return nil, errPending
-			}
-			return nil, ErrTimeout
-		}
+// voteTallies is the wire form of stage-1 tallies that ST2 and InvokeFB
+// carry as justification.
+func (c *Client) voteTallies(id types.TxID, tallies map[int32]*shardTally) []types.VoteTally {
+	out := make([]types.VoteTally, 0, len(tallies))
+	for _, t := range tallies {
+		out = append(out, t.toVoteTally(id, c.qc))
 	}
+	return out
 }
 
 // writeback broadcasts the decision certificate to every participant shard

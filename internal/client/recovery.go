@@ -34,48 +34,28 @@ func (c *Client) FinishTransaction(meta *types.TxMeta) (types.Decision, *types.D
 	for _, s := range meta.Shards {
 		c.broadcastShard(s, rp)
 	}
-
-	tallies := newTallies(meta.Shards)
-	st2rs := make(map[int32]types.ST2Reply) // logging-shard replica -> latest signed view
-	divergent := false
-
-	rpResend := func() {
-		for _, s := range meta.Shards {
-			if !tallies[s].settled(c.qc) {
-				c.broadcastShard(s, rp)
-			}
-		}
-	}
-	dec, cert, done := c.collectRecovery(id, meta, ch, tallies, st2rs, &divergent, rpResend)
+	p := &recoveryPhase{st2Quorum: c.newST2Quorum(id, meta.LogShard(), types.DecisionNone, make(map[int32]types.ST2Reply)),
+		tallies: newTallies(meta.Shards)}
+	err := c.collect(ch, p, phaseRecovery, c.resendUnsettled(p.tallies, rp), nil)
 	c.endRequest(reqID)
-	if done {
-		c.writeback(meta, dec, cert)
-		return dec, cert, nil
+	if p.cert != nil {
+		c.writeback(meta, p.cert.Decision, p.cert)
+		return p.cert.Decision, p.cert, nil
 	}
 
-	// If stage-1 votes classified, try to finish on the normal path by
-	// logging the decision ourselves.
-	if !divergent {
-		if res, err := c.decide(tallies); err == nil {
-			if res.fast {
-				cert := c.buildFastCert(id, meta, res)
-				c.writeback(meta, res.decision, cert)
-				return res.decision, cert, nil
-			}
-			cert, err := c.logDecision(meta, id, res, 0)
-			if err == nil {
-				c.writeback(meta, res.decision, cert)
-				return res.decision, cert, nil
-			}
-			divergent = true // logging shard disagreed: fall through
+	// If stage-1 votes classified and the logging shard shows no
+	// divergence, finish on the normal path by logging the decision
+	// ourselves.
+	divergent := len(p.decisions) > 1 || (err != nil && len(p.latest) > 0)
+	res, rerr := c.decide(p.tallies)
+	if !divergent && rerr == nil {
+		if cert, err := c.finish(meta, id, res); err == nil {
+			return res.decision, cert, nil
 		}
+		// The logging shard disagreed: fall through.
 	}
 
 	// --- Divergent case: fallback leader election rounds. ---
-	var lastRes *prepareResult
-	if res, err := c.decide(tallies); err == nil {
-		lastRes = &res
-	}
 	for round := 0; round < c.qc.N()+2; round++ {
 		if round > 0 || c.retryHint > 0 {
 			// Pace the rounds: jittered backoff, floored at any RetryAfter
@@ -84,7 +64,7 @@ func (c *Client) FinishTransaction(meta *types.TxMeta) (types.Decision, *types.D
 			time.Sleep(c.retryDelay(round, c.takeRetryAfter()))
 		}
 		if time.Now().After(deadline) {
-			return types.DecisionNone, nil, ErrTimeout
+			return types.DecisionNone, nil, c.giveUp(phaseRecovery)
 		}
 		c.Stats.FallbackRounds.Add(1)
 		c.forceTrace(forcedFallback, "fallback")
@@ -92,222 +72,55 @@ func (c *Client) FinishTransaction(meta *types.TxMeta) (types.Decision, *types.D
 		inv := &types.InvokeFB{
 			ReqID: reqID, ClientID: uint64(c.cfg.ID), TxID: id, Meta: meta, TC: c.curTC,
 		}
-		for _, r := range st2rs {
+		for _, r := range p.latest {
 			inv.ST2Rs = append(inv.ST2Rs, r)
 		}
-		if lastRes != nil {
-			inv.Decision = lastRes.decision
-			for _, t := range lastRes.tallies {
-				inv.Tallies = append(inv.Tallies, t.toVoteTally(id, c.qc))
-			}
+		if rerr == nil {
+			inv.Decision = res.decision
+			inv.Tallies = c.voteTallies(id, res.tallies)
 		}
-		c.broadcastShard(meta.LogShard(), inv)
-
-		dec, cert, done := c.collectFallback(id, meta, ch, st2rs,
-			func() { c.broadcastShard(meta.LogShard(), inv) })
+		resend := func() { c.broadcastShard(meta.LogShard(), inv) }
+		resend()
+		// Post-election ST2Rs certify once n-f match in decision and view.
+		q := c.newST2Quorum(id, meta.LogShard(), types.DecisionNone, p.latest)
+		_ = c.collect(ch, q, phaseFallback, resend, nil)
 		c.endRequest(reqID)
-		if done {
-			c.writeback(meta, dec, cert)
-			return dec, cert, nil
+		if q.cert != nil {
+			c.writeback(meta, q.cert.Decision, q.cert)
+			return q.cert.Decision, q.cert, nil
 		}
 	}
-	return types.DecisionNone, nil, ErrTimeout
+	return types.DecisionNone, nil, c.giveUp(phaseFallback)
 }
 
-// collectRecovery gathers RP replies. It returns done=true with a decision
-// and certificate when the transaction can be finished immediately (a
-// certificate surfaced, or n-f matching logged decisions exist).
-func (c *Client) collectRecovery(id types.TxID, meta *types.TxMeta, ch chan any,
-	tallies map[int32]*shardTally, st2rs map[int32]types.ST2Reply, divergent *bool,
-	resend func()) (types.Decision, *types.DecisionCert, bool) {
-
-	retry := newOverloadRetry(c, resend)
-	defer retry.stop()
-	deadline := time.NewTimer(c.cfg.PhaseTimeout)
-	defer deadline.Stop()
-	matching := make(map[uint64]map[int32]types.ST2Reply) // viewDecision -> replica -> reply
-	decisionsSeen := make(map[types.Decision]bool)
-
-	tryST2Quorum := func() (types.Decision, *types.DecisionCert, bool) {
-		for _, byReplica := range matching {
-			var dec types.Decision
-			replies := make([]types.ST2Reply, 0, len(byReplica))
-			for _, r := range byReplica {
-				dec = r.Decision
-				replies = append(replies, r)
-			}
-			// Group by decision within the view.
-			byDec := map[types.Decision][]types.ST2Reply{}
-			for _, r := range replies {
-				byDec[r.Decision] = append(byDec[r.Decision], r)
-			}
-			for d, rs := range byDec {
-				if len(rs) >= c.qc.LogQuorum() {
-					vote := types.VoteCommit
-					if d == types.DecisionAbort {
-						vote = types.VoteAbort
-					}
-					cert := &types.DecisionCert{
-						TxID: id, Decision: d,
-						Shards: []types.ShardCert{{
-							ShardID: meta.LogShard(), Kind: types.CertST2Logged, Vote: vote, ST2Rs: rs,
-						}},
-					}
-					return d, cert, true
-				}
-			}
-			_ = dec
-		}
-		return types.DecisionNone, nil, false
-	}
-
-	for {
-		select {
-		case <-retry.C:
-			retry.fire()
-		case m := <-ch:
-			switch r := m.(type) {
-			case *types.Overloaded:
-				retry.note(r)
-				continue
-			case *types.ST1Reply:
-				switch r.RPKind {
-				case types.RPCert:
-					if r.Cert != nil && r.CertMeta != nil && r.CertMeta.ID() == id &&
-						c.qv.VerifyDecisionCert(r.Cert, r.CertMeta) == nil {
-						return r.Cert.Decision, r.Cert, true
-					}
-				case types.RPDecision:
-					// Logged decisions are meaningful only from the logging
-					// shard; a signed ST2R from another shard's replica must
-					// not enter the view/quorum bookkeeping (cross-shard
-					// confusion, as on the read path).
-					if r.ST2R != nil && r.ST2R.ShardID == meta.LogShard() &&
-						c.qv.VerifyST2Reply(r.ST2R, id) == nil {
-						c.noteST2R(*r.ST2R, st2rs, matching, decisionsSeen)
-						if len(decisionsSeen) > 1 {
-							*divergent = true
-						}
-						if d, cert, ok := tryST2Quorum(); ok {
-							return d, cert, true
-						}
-					}
-				default:
-					c.acceptST1Reply(id, tallies, r)
-				}
-			case *types.ST2Reply:
-				if r.ShardID == meta.LogShard() && c.qv.VerifyST2Reply(r, id) == nil {
-					c.noteST2R(*r, st2rs, matching, decisionsSeen)
-					if len(decisionsSeen) > 1 {
-						*divergent = true
-					}
-					if d, cert, ok := tryST2Quorum(); ok {
-						return d, cert, true
-					}
-				}
-			}
-			// Fast exit when votes alone already classify every shard.
-			settled := true
-			for _, t := range tallies {
-				if !t.settled(c.qc) {
-					settled = false
-					break
-				}
-			}
-			if settled && len(st2rs) == 0 {
-				return types.DecisionNone, nil, false
-			}
-		case <-deadline.C:
-			if len(st2rs) > 0 {
-				*divergent = true
-			}
-			return types.DecisionNone, nil, false
-		}
-	}
+// recoveryPhase accumulates RP replies. It finishes with a certificate
+// when one surfaces or n-f matching logged decisions exist, and without
+// one as soon as stage-1 votes alone classify every shard and no logged
+// decision was seen.
+type recoveryPhase struct {
+	*st2Quorum
+	tallies map[int32]*shardTally
 }
 
-// noteST2R records a signed logged decision for view evidence and quorum
-// matching.
-func (c *Client) noteST2R(r types.ST2Reply, st2rs map[int32]types.ST2Reply,
-	matching map[uint64]map[int32]types.ST2Reply, decisionsSeen map[types.Decision]bool) {
-	prev, ok := st2rs[r.ReplicaID]
-	if !ok || prev.ViewCurrent < r.ViewCurrent {
-		st2rs[r.ReplicaID] = r
-	}
-	byReplica := matching[r.ViewDecision]
-	if byReplica == nil {
-		byReplica = make(map[int32]types.ST2Reply)
-		matching[r.ViewDecision] = byReplica
-	}
-	byReplica[r.ReplicaID] = r
-	decisionsSeen[r.Decision] = true
-}
-
-// collectFallback waits for post-election ST2 replies and assembles a
-// logging-shard certificate from n-f replies matching in decision and
-// decision view.
-func (c *Client) collectFallback(id types.TxID, meta *types.TxMeta, ch chan any,
-	st2rs map[int32]types.ST2Reply, resend func()) (types.Decision, *types.DecisionCert, bool) {
-
-	retry := newOverloadRetry(c, resend)
-	defer retry.stop()
-	deadline := time.NewTimer(c.cfg.PhaseTimeout)
-	defer deadline.Stop()
-	type key struct {
-		dec  types.Decision
-		view uint64
-	}
-	groups := make(map[key]map[int32]types.ST2Reply)
-	for {
-		select {
-		case <-retry.C:
-			retry.fire()
-		case m := <-ch:
-			if ov, isOv := m.(*types.Overloaded); isOv {
-				retry.note(ov)
-				continue
-			}
-			r, ok := m.(*types.ST2Reply)
-			if !ok {
-				if s1, isS1 := m.(*types.ST1Reply); isS1 && s1.RPKind == types.RPCert &&
-					s1.Cert != nil && s1.CertMeta != nil && s1.CertMeta.ID() == id &&
-					c.qv.VerifyDecisionCert(s1.Cert, s1.CertMeta) == nil {
-					return s1.Cert.Decision, s1.Cert, true
-				}
-				continue
-			}
-			if r.TxID != id || r.ShardID != meta.LogShard() || c.qv.VerifyST2Reply(r, id) != nil {
-				continue
-			}
-			if prev, ok := st2rs[r.ReplicaID]; !ok || prev.ViewCurrent < r.ViewCurrent {
-				st2rs[r.ReplicaID] = *r
-			}
-			k := key{r.Decision, r.ViewDecision}
-			g := groups[k]
-			if g == nil {
-				g = make(map[int32]types.ST2Reply)
-				groups[k] = g
-			}
-			g[r.ReplicaID] = *r
-			if len(g) >= c.qc.LogQuorum() {
-				replies := make([]types.ST2Reply, 0, len(g))
-				for _, rr := range g {
-					replies = append(replies, rr)
-				}
-				vote := types.VoteCommit
-				if k.dec == types.DecisionAbort {
-					vote = types.VoteAbort
-				}
-				cert := &types.DecisionCert{
-					TxID: id, Decision: k.dec,
-					Shards: []types.ShardCert{{
-						ShardID: meta.LogShard(), Kind: types.CertST2Logged, Vote: vote, ST2Rs: replies,
-					}},
-				}
-				return k.dec, cert, true
-			}
-		case <-deadline.C:
-			return types.DecisionNone, nil, false
+func (p *recoveryPhase) add(m any) progress {
+	if r, ok := m.(*types.ST1Reply); ok {
+		switch {
+		case r.RPKind == types.RPDecision && r.ST2R != nil:
+			m = r.ST2R // the logged decision counts like a direct ST2R
+		case r.RPKind != types.RPCert && r.RPKind != types.RPDecision:
+			p.c.acceptST1Reply(p.id, p.tallies, r)
 		}
 	}
+	if p.st2Quorum.add(m) == finished {
+		return finished
+	}
+	if len(p.latest) > 0 {
+		return collecting
+	}
+	for _, t := range p.tallies {
+		if !t.settled(p.c.qc) {
+			return collecting
+		}
+	}
+	return finished
 }

@@ -35,7 +35,7 @@ func (c *Client) Begin() *Txn {
 	c.Stats.TxBegun.Add(1)
 	t := &Txn{
 		c:        c,
-		ts:       types.Timestamp{Time: c.now(), ClientID: uint64(c.cfg.ID)},
+		ts:       types.Timestamp{Time: c.cfg.Clock.NowMicros(), ClientID: uint64(c.cfg.ID)},
 		readKeys: make(map[string]bool),
 		readVals: make(map[string][]byte),
 		writes:   make(map[string][]byte),
@@ -123,10 +123,15 @@ func (t *Txn) Read(key string) ([]byte, error) {
 			tos[i] = replicas[(off+i)%len(replicas)]
 		}
 		c.cfg.Net.SendAll(c.addr, tos, req)
-		val, err := t.collectRead(key, shard, reqID, ch)
+		rd := &readPhase{t: t, key: key, shard: shard, need: c.cfg.ReadWait, valid: c.qc.ReadValidity(),
+			seen: make(map[int32]bool), genesis: make(map[string]int), prepared: make(map[types.Timestamp]int)}
+		if rd.need == 1 {
+			rd.valid = 1 // Fig. 5b "one read": no cross-validation
+		}
+		err := c.collect(ch, rd, phaseRead, nil, nil)
 		c.endRequest(reqID)
 		if err == nil {
-			return val, nil
+			return t.chooseRead(key, rd.cands), nil
 		}
 		attempt++
 		if attempt > 3 {
@@ -139,114 +144,75 @@ func (t *Txn) Read(key string) ([]byte, error) {
 	}
 }
 
-// collectRead gathers replies until a valid choice exists. shard is the
-// shard the request targeted; replies from any other shard are rejected
-// even when correctly signed.
-func (t *Txn) collectRead(key string, shard int32, reqID uint64, ch chan any) ([]byte, error) {
-	c := t.c
-	need := c.cfg.ReadWait
-	trustSingle := need == 1 // Fig. 5b "one read": no cross-validation
+// readPhase accumulates one read attempt's replies until ReadWait valid
+// replies arrived and a valid version exists. Only replies from the shard
+// the request targeted count, even when correctly signed.
+type readPhase struct {
+	t     *Txn
+	key   string
+	shard int32
+	need  int // replies to wait for (ReadWait)
+	// valid is how many replicas must agree on a prepared or genesis
+	// version: f+1, or 1 when need is 1.
+	valid    int
+	seen     map[int32]bool
+	genesis  map[string]int          // genesis value -> votes
+	prepared map[types.Timestamp]int // prepared version -> votes
+	cands    []readCandidate
+}
 
-	var (
-		got       int
-		cands     []readCandidate
-		prepCount = make(map[types.Timestamp]int) // prepared version -> votes
-		prepSeen  = make(map[types.Timestamp]*types.PreparedRead)
-		genCount  = make(map[string]int) // genesis value -> votes
-		genVal    = make(map[string][]byte)
-	)
-	deadline := time.NewTimer(c.cfg.PhaseTimeout)
-	defer deadline.Stop()
-	seen := make(map[int32]bool)
-	for {
-		select {
-		case m := <-ch:
-			if ov, isOv := m.(*types.Overloaded); isOv {
-				// Shed: count it and keep the pacing hint for the retry in
-				// Read's attempt loop (no resend from inside one attempt).
-				c.noteOverloaded(ov)
-				continue
-			}
-			rr, ok := m.(*types.ReadReply)
-			if !ok || rr.Key != key || seen[rr.ReplicaID] {
-				continue
-			}
-			// A same-index replica of a different shard signs its replies
-			// with its own (valid) key, so signature verification alone
-			// does not bind the reply to the shard we asked: check the
-			// shard id explicitly or cross-shard replies would count
-			// toward this shard's read quorum.
-			if rr.ShardID != shard {
-				continue
-			}
-			sig := rr.Sig
-			if sig.SignerID != c.cfg.SignerOf(rr.ShardID, rr.ReplicaID) || !c.sv.Verify(rr.Payload(), &sig) {
-				continue
-			}
-			seen[rr.ReplicaID] = true
-			got++
-			if rr.Committed == nil && rr.Prepared == nil {
-				// Key absent at this replica: a vote for the empty
-				// genesis state (reads of never-written keys are legal
-				// and return nil).
-				if trustSingle {
-					cands = append(cands, readCandidate{})
-				} else {
-					genCount[""]++
-					if genCount[""] == c.qc.ReadValidity() {
-						cands = append(cands, readCandidate{})
-					}
-				}
-			}
-			if rr.Committed != nil {
-				cr := rr.Committed
-				switch {
-				case cr.WriterMeta == nil: // genesis version
-					if trustSingle {
-						cands = append(cands, readCandidate{value: cr.Value})
-					} else {
-						k := string(cr.Value)
-						genCount[k]++
-						genVal[k] = cr.Value
-						if genCount[k] == c.qc.ReadValidity() {
-							cands = append(cands, readCandidate{value: cr.Value})
-						}
-					}
-				case cr.Cert != nil && cr.Version().Less(t.ts):
-					if trustSingle || t.validCommittedRead(key, cr) {
-						cands = append(cands, readCandidate{
-							version: cr.Version(), value: cr.Value, writer: cr.WriterMeta,
-						})
-					}
-				}
-			}
-			if rr.Prepared != nil && rr.Prepared.WriterMeta != nil && rr.Prepared.Version().Less(t.ts) {
-				pr := rr.Prepared
-				v := pr.Version()
-				prepCount[v]++
-				if prepSeen[v] == nil {
-					prepSeen[v] = pr
-				}
-				valid := c.qc.ReadValidity()
-				if trustSingle {
-					valid = 1
-				}
-				if prepCount[v] == valid {
-					cands = append(cands, readCandidate{
-						version: v, value: pr.Value, prepared: true, writer: pr.WriterMeta,
-					})
-				}
-			}
-			if got >= need && len(cands) > 0 {
-				return t.chooseRead(key, cands), nil
-			}
-		case <-deadline.C:
-			if len(cands) > 0 {
-				return t.chooseRead(key, cands), nil
-			}
-			return nil, ErrTimeout
+func (p *readPhase) add(m any) progress {
+	c, ts := p.t.c, p.t.ts
+	rr, ok := m.(*types.ReadReply)
+	// A same-index replica of a different shard signs its replies with its
+	// own (valid) key, so signature verification alone does not bind the
+	// reply to the shard we asked: check the shard id explicitly or
+	// cross-shard replies would count toward this shard's read quorum.
+	if !ok || rr.Key != p.key || rr.ShardID != p.shard || p.seen[rr.ReplicaID] {
+		return collecting
+	}
+	sig := rr.Sig
+	if sig.SignerID != c.cfg.SignerOf(rr.ShardID, rr.ReplicaID) || !c.sv.Verify(rr.Payload(), &sig) {
+		return collecting
+	}
+	p.seen[rr.ReplicaID] = true
+	switch cr := rr.Committed; {
+	case cr == nil && rr.Prepared == nil:
+		// Key absent at this replica: a vote for the empty genesis state
+		// (reads of never-written keys are legal and return nil).
+		p.voteGenesis(nil)
+	case cr == nil:
+	case cr.WriterMeta == nil: // genesis version
+		p.voteGenesis(cr.Value)
+	case cr.Cert != nil && cr.Version().Less(ts) && (p.need == 1 || p.t.validCommittedRead(p.key, cr)):
+		p.cands = append(p.cands, readCandidate{version: cr.Version(), value: cr.Value, writer: cr.WriterMeta})
+	}
+	if pr := rr.Prepared; pr != nil && pr.WriterMeta != nil && pr.Version().Less(ts) {
+		v := pr.Version()
+		p.prepared[v]++
+		if p.prepared[v] == p.valid {
+			p.cands = append(p.cands, readCandidate{version: v, value: pr.Value, prepared: true, writer: pr.WriterMeta})
 		}
 	}
+	if len(p.seen) >= p.need && len(p.cands) > 0 {
+		return finished
+	}
+	return collecting
+}
+
+func (p *readPhase) voteGenesis(value []byte) {
+	p.genesis[string(value)]++
+	if p.genesis[string(value)] == p.valid {
+		p.cands = append(p.cands, readCandidate{value: value})
+	}
+}
+
+// expire settles for any valid version seen, even short of ReadWait.
+func (p *readPhase) expire() error {
+	if len(p.cands) > 0 {
+		return nil
+	}
+	return ErrTimeout
 }
 
 // validCommittedRead verifies a committed version's certificate and its
@@ -299,8 +265,7 @@ func (t *Txn) Abort() {
 		return
 	}
 	t.finished = true
-	t.c.Stats.TxAborted.Add(1)
-	t.c.tracer.Finish(t.c.curTC, t.c.traceNode, t.c.curRoot, t.c.curBegun, "abort")
+	t.end("abort")
 	if len(t.reads) == 0 {
 		return
 	}
@@ -358,25 +323,31 @@ func (t *Txn) Commit() error {
 		defer t.c.hCommit.Since(time.Now())
 	}
 	if len(t.reads) == 0 && len(t.writes) == 0 {
-		t.c.Stats.TxCommitted.Add(1)
-		t.c.hTxn.Since(t.begun)
-		t.c.tracer.Finish(t.c.curTC, t.c.traceNode, t.c.curRoot, t.c.curBegun, "commit")
+		t.end("commit")
 		return nil // empty transaction commits trivially
 	}
-	meta := t.buildMeta()
-	dec, err := t.c.runPrepare(meta, t.depMetas)
-	if err != nil {
-		t.c.Stats.TxAborted.Add(1)
-		t.c.tracer.Finish(t.c.curTC, t.c.traceNode, t.c.curRoot, t.c.curBegun, "failed")
+	dec, err := t.c.runPrepare(t.buildMeta(), t.depMetas)
+	switch {
+	case err != nil:
+		t.end("failed")
 		return err
-	}
-	if dec == types.DecisionCommit {
-		t.c.Stats.TxCommitted.Add(1)
-		t.c.hTxn.Since(t.begun)
-		t.c.tracer.Finish(t.c.curTC, t.c.traceNode, t.c.curRoot, t.c.curBegun, "commit")
+	case dec == types.DecisionCommit:
+		t.end("commit")
 		return nil
 	}
-	t.c.Stats.TxAborted.Add(1)
-	t.c.tracer.Finish(t.c.curTC, t.c.traceNode, t.c.curRoot, t.c.curBegun, "abort")
+	t.end("abort")
 	return ErrAborted
+}
+
+// end records the transaction's outcome: its counter, the end-to-end
+// latency of a commit, and the trace root.
+func (t *Txn) end(outcome string) {
+	c := t.c
+	if outcome == "commit" {
+		c.Stats.TxCommitted.Add(1)
+		c.hTxn.Since(t.begun)
+	} else {
+		c.Stats.TxAborted.Add(1)
+	}
+	c.tracer.Finish(c.curTC, c.traceNode, c.curRoot, c.curBegun, outcome)
 }

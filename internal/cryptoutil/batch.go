@@ -159,6 +159,10 @@ type SigVerifier struct {
 	max         int
 
 	directHits atomic.Uint64
+
+	// Checks, when set before first use, counts the ed25519 verifications
+	// actually performed; cache hits are not counted.
+	Checks *atomic.Uint64
 }
 
 // NewSigVerifier creates a verifier with a bounded root cache.
@@ -194,6 +198,14 @@ func directKey(d [32]byte, signer int32, sig []byte) [32]byte {
 	return k
 }
 
+// verifyDigest runs one ed25519 check and counts it.
+func (v *SigVerifier) verifyDigest(signer int32, d [32]byte, sig []byte) bool {
+	if v.Checks != nil {
+		v.Checks.Add(1)
+	}
+	return v.reg.VerifyDigest(signer, d, sig)
+}
+
 // Verify checks sig over payload. For batched signatures it verifies the
 // Merkle inclusion proof and then the root signature (via the cache); for
 // direct signatures it consults the verified-digest cache first.
@@ -211,7 +223,7 @@ func (v *SigVerifier) Verify(payload []byte, sig *types.Signature) bool {
 			v.directHits.Add(1)
 			return true
 		}
-		if !v.reg.VerifyDigest(sig.SignerID, d, sig.Direct) {
+		if !v.verifyDigest(sig.SignerID, d, sig.Direct) {
 			return false
 		}
 		v.mu.Lock()
@@ -236,7 +248,7 @@ func (v *SigVerifier) Verify(payload []byte, sig *types.Signature) bool {
 	if hit && cachedSigner == sig.SignerID {
 		return true
 	}
-	if !v.reg.VerifyDigest(sig.SignerID, sig.Root, sig.RootSig) {
+	if !v.verifyDigest(sig.SignerID, sig.Root, sig.RootSig) {
 		return false
 	}
 	v.mu.Lock()

@@ -22,9 +22,8 @@ import (
 // an ST2 tally from inside the pool) and a cheap batch never inherits the
 // latency of an unrelated heavy handler.
 type VerifyPool struct {
-	tasks    chan func() // top-level tasks (message handlers)
-	subTasks chan func() // batch sub-tasks (individual signature checks)
-	workers  int
+	tasks    chan func()    // top-level tasks (message handlers)
+	subTasks chan func()    // batch sub-tasks (individual signature checks)
 	wg       sync.WaitGroup // workers
 	inflight sync.WaitGroup // accepted, not yet executed tasks
 
@@ -42,7 +41,6 @@ func NewVerifyPool(workers int) *VerifyPool {
 	p := &VerifyPool{
 		tasks:    make(chan func(), workers*16),
 		subTasks: make(chan func(), workers*16),
-		workers:  workers,
 	}
 	p.wg.Add(workers)
 	for i := 0; i < workers; i++ {
@@ -50,9 +48,6 @@ func NewVerifyPool(workers int) *VerifyPool {
 	}
 	return p
 }
-
-// Workers returns the pool size.
-func (p *VerifyPool) Workers() int { return p.workers }
 
 func (p *VerifyPool) worker() {
 	defer p.wg.Done()

@@ -165,9 +165,6 @@ func NewEquivocatingReplica(seed int64) *EquivocatingReplica {
 // Arm enables (or disables) the equivocation.
 func (e *EquivocatingReplica) Arm(on bool) { e.armed.Store(on) }
 
-// Armed reports whether equivocation is live.
-func (e *EquivocatingReplica) Armed() bool { return e.armed.Load() }
-
 // MutateVote implements replica.ByzantineStrategy: the stored vote stays
 // honest — equivocation happens per recipient at send time.
 func (e *EquivocatingReplica) MutateVote(_ types.TxID, v types.Vote) types.Vote { return v }

@@ -230,7 +230,9 @@ type Stats struct {
 	Elections      atomic.Uint64
 	DecFBs         atomic.Uint64
 	SigsSigned     atomic.Uint64
-	SigsVerified   atomic.Uint64
+	// SigsVerified counts the ed25519 checks the replica's SigVerifier
+	// performed; verified-signature cache hits are not counted.
+	SigsVerified atomic.Uint64
 	// TxCollected counts txStates reclaimed below the checkpoint
 	// watermark; WaiterEvictions counts per-transaction waiter entries
 	// displaced by the evict-oldest cap; StaleDrops counts below-watermark
@@ -369,6 +371,7 @@ func Restore(cfg Config, dir string) (*Replica, error) {
 	r.frec = trace.NewFlightRecorder(r.traceNode, 0)
 	r.adm = newAdmission(r, cfg.DispatchQueue)
 	r.batcher = cryptoutil.NewBatchSigner(r.signer, cfg.BatchSize, cfg.BatchDelay)
+	r.sv.Checks = &r.Stats.SigsVerified
 	r.qv = &quorum.Verifier{Cfg: r.qc, Sigs: r.sv, SignerOf: cfg.SignerOf, Pool: r.pool}
 	reg := cfg.Metrics
 	if reg == nil {

@@ -430,13 +430,6 @@ func (t *TCP) ListenAddr() string {
 	return t.ln.Addr().String()
 }
 
-// SetRoute adds or updates an address-book entry.
-func (t *TCP) SetRoute(a Addr, hostport string) {
-	t.mu.Lock()
-	t.book[a] = hostport
-	t.mu.Unlock()
-}
-
 // acceptLoop accepts inbound connections until the listener closes. Accept
 // errors other than listener closure — EMFILE under fd pressure,
 // ECONNABORTED from a peer resetting mid-handshake — are transient: the

@@ -11,7 +11,7 @@ import (
 
 // Finding is one reported invariant violation.
 type Finding struct {
-	Code string `json:"code"` // BV000..BV009
+	Code string `json:"code"` // BV000..BV010
 	File string `json:"file"`
 	Line int    `json:"line"`
 	Col  int    `json:"col"`
@@ -107,6 +107,7 @@ var passes = []pass{
 	unboundedIntake,      // BV007
 	adminHandlerLocks,    // BV008
 	orphanPackage,        // BV009
+	unreferencedExport,   // BV010
 }
 
 // analyze runs every pass on pkg and filters results through its

@@ -45,6 +45,11 @@
 //	BV009 orphan-package       — a package under an internal/
 //	       directory has no non-test importer anywhere in the tree
 //	       Go lets import it: dead code its own tests keep alive.
+//	BV010 unreferenced-export  — an exported func or method of an
+//	       internal/ package is named as an identifier in no Go file
+//	       of that tree, tests and nested modules included. Methods
+//	       named in an interface type, or after a stdlib interface
+//	       method (String, Error, ServeHTTP, ...), are exempt.
 //
 // Suppression: a finding line (or the line above it) may carry
 // `//nolint:basilvet — <justification>`. The justification is mandatory;
