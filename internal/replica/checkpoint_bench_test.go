@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"testing"
 	"time"
 
@@ -81,14 +82,61 @@ type checkpointBenchRow struct {
 	SteadyMs float64 `json:"checkpoint_steady_ms"`
 }
 
+// checkpointKeyRow is one store size on the key-count ladder: the steady
+// durable checkpoint over keys committed keys, each with its own writer
+// record, so the snapshot grows linearly with the key count.
+type checkpointKeyRow struct {
+	Keys     int     `json:"keys"`
+	SteadyMs float64 `json:"checkpoint_steady_ms"`
+	// BytesWritten is the snapshot payload of one checkpoint
+	// (basil_replica_checkpoint_bytes_total per checkpoint).
+	BytesWritten uint64 `json:"bytes_written"`
+	// BytesAllocated is the fewest bytes one checkpoint allocated (the
+	// process's runtime TotalAlloc delta): streaming keeps it flat while
+	// bytes_written grows with the store.
+	BytesAllocated uint64 `json:"bytes_allocated"`
+}
+
+// measureKeyLadder runs the key-count ladder: for each size, one
+// settling checkpoint, then three steady ones, keeping the fastest time
+// and the smallest allocation.
+func measureKeyLadder(t *testing.T, sizes []int) []checkpointKeyRow {
+	wm := types.Timestamp{Time: ckptBenchWM}
+	var rows []checkpointKeyRow
+	for _, keys := range sizes {
+		net := transport.NewLocal()
+		r := New(durableConfig(net, t.TempDir()))
+		seedCommittedKeys(r, keys)
+		if err := r.Checkpoint(wm); err != nil {
+			t.Fatalf("%d keys: settling checkpoint: %v", keys, err)
+		}
+		written := counterOf(r.Metrics().Snapshot(), "basil_replica_checkpoint_bytes_total")
+		alloc, best := steadyCheckpoints(t, r, wm)
+		written = counterOf(r.Metrics().Snapshot(), "basil_replica_checkpoint_bytes_total") - written
+		rows = append(rows, checkpointKeyRow{
+			Keys:           keys,
+			SteadyMs:       float64(best.Nanoseconds()) / 1e6,
+			BytesWritten:   written / 3,
+			BytesAllocated: alloc,
+		})
+		r.Close()
+		net.Close()
+	}
+	return rows
+}
+
 // TestWriteCheckpointBench measures the full durable checkpoint (store
 // GC, snapshot + txState capture into the WAL, watermark collection) on
 // replicas that have seen 1000/4000/16000 transactions over a fixed key
 // space with a fixed 64-transaction live set, and writes the comparison
 // as JSON. The acceptance shape: checkpoint_steady_ms flat across
 // history sizes (capture walks the live-set index, the GC'd store stays
-// O(keys)), while checkpoint_retained_ms grows with history. Skipped
-// unless -checkpointbench names an output file.
+// O(keys)), while checkpoint_retained_ms grows with history. A second
+// ladder grows the store itself (2k/8k/32k committed keys) and records
+// the steady checkpoint's time, bytes written and bytes allocated: time
+// and bytes written grow with the store, bytes allocated must not (the
+// snapshot is streamed). Skipped unless -checkpointbench names an
+// output file.
 func TestWriteCheckpointBench(t *testing.T) {
 	if *checkpointBenchOut == "" {
 		t.Skip("no -checkpointbench output file given")
@@ -134,9 +182,12 @@ func TestWriteCheckpointBench(t *testing.T) {
 		net.Close()
 	}
 
+	ladder := measureKeyLadder(t, []int{2_000, 8_000, 32_000})
+
 	first, last := rows[0], rows[len(rows)-1]
 	out := struct {
 		Benchmark string               `json:"benchmark"`
+		Host      map[string]any       `json:"host"`
 		Workload  string               `json:"workload"`
 		Results   []checkpointBenchRow `json:"results"`
 		// RetainedGrowth is the watermark-zero checkpoint cost at the
@@ -147,12 +198,26 @@ func TestWriteCheckpointBench(t *testing.T) {
 		// checkpoints — the lifecycle claim is that this stays near 1
 		// over a 16x history spread.
 		SteadyGrowth float64 `json:"steady_growth"`
+		// KeyLadder is the store-size ladder; AllocGrowth is its bytes
+		// allocated at the largest store relative to the smallest — the
+		// streaming claim is that this stays near 1 over a 16x key spread
+		// while bytes_written grows ~16x.
+		LadderWorkload string             `json:"key_ladder_workload"`
+		KeyLadder      []checkpointKeyRow `json:"key_ladder"`
+		AllocGrowth    float64            `json:"key_ladder_alloc_growth"`
 	}{
-		Benchmark:      "TestWriteCheckpointBench",
+		Benchmark: "TestWriteCheckpointBench",
+		Host: map[string]any{
+			"go": runtime.Version(), "goos": runtime.GOOS, "goarch": runtime.GOARCH,
+			"cpus": runtime.NumCPU(), "gomaxprocs": runtime.GOMAXPROCS(0),
+		},
 		Workload:       "finalized history over 512 keys + 64 live prepared txns, durable replica, full checkpoint (GC + WAL snapshot + collection)",
 		Results:        rows,
 		RetainedGrowth: last.RetainedMs / first.RetainedMs,
 		SteadyGrowth:   last.SteadyMs / first.SteadyMs,
+		LadderWorkload: "N keys each written by its own committed, certified txn (64 B values), durable replica, steady checkpoint after one settling pass",
+		KeyLadder:      ladder,
+		AllocGrowth:    float64(ladder[len(ladder)-1].BytesAllocated) / float64(ladder[0].BytesAllocated),
 	}
 	data, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {
@@ -168,4 +233,9 @@ func TestWriteCheckpointBench(t *testing.T) {
 	}
 	t.Logf("retained growth %.2fx vs steady growth %.2fx over a 16x history spread",
 		out.RetainedGrowth, out.SteadyGrowth)
+	for _, row := range ladder {
+		t.Logf("keys %6d: steady %.2fms, %d bytes written, %d bytes allocated",
+			row.Keys, row.SteadyMs, row.BytesWritten, row.BytesAllocated)
+	}
+	t.Logf("bytes allocated growth %.2fx over a 16x key spread", out.AllocGrowth)
 }

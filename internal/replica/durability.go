@@ -3,6 +3,7 @@ package replica
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -325,7 +326,7 @@ func (r *Replica) Checkpoint(watermark types.Timestamp) error {
 	r.mu.Unlock()
 	r.store.GC(watermark)
 	if r.wal != nil {
-		err := r.wal.Checkpoint(func() []byte {
+		err := r.wal.Checkpoint(func(w io.Writer) error {
 			// Drain finalizes that logged their record before the rotation
 			// but have not applied it to the store yet — otherwise that
 			// record is pruned and the outcome misses the snapshot too. New
@@ -333,8 +334,10 @@ func (r *Replica) Checkpoint(watermark types.Timestamp) error {
 			// fence is safe (replay is idempotent).
 			r.applyMu.Lock()
 			r.applyMu.Unlock() //nolint:staticcheck // barrier, not a critical section
-			b := r.store.Snapshot(nil)
-			return r.appendTxSnapshot(b, watermark)
+			if err := r.store.Snapshot(w); err != nil {
+				return err
+			}
+			return r.writeTxSnapshot(w, watermark)
 		})
 		if err != nil {
 			return err
@@ -351,15 +354,16 @@ func (r *Replica) Checkpoint(watermark types.Timestamp) error {
 // loudly in restoreTxSection rather than guessing.
 const txSnapVersion = 2
 
-// appendTxSnapshot appends the replica's per-transaction promises (fixed
+// writeTxSnapshot writes the replica's per-transaction promises (fixed
 // votes, logged decisions, views) for transactions not yet finalized —
 // finalized outcomes live in the store section. The walk covers the live
-// index, not all of txs, so capture cost and r.mu hold time are
-// proportional to transactions still holding an unfinalized promise, not
-// to history. The capture is fuzzy against concurrent handlers, which is
-// safe: anything promised after the checkpoint's rotation is also in the
-// kept log suffix, and replay is idempotent across the overlap.
-func (r *Replica) appendTxSnapshot(b []byte, wm types.Timestamp) []byte {
+// index, not all of txs, so capture cost, r.mu hold time and the section
+// buffered here are proportional to transactions still holding an
+// unfinalized promise, not to history. The capture is fuzzy against
+// concurrent handlers, which is safe: anything promised after the
+// checkpoint's rotation is also in the kept log suffix, and replay is
+// idempotent across the overlap.
+func (r *Replica) writeTxSnapshot(w io.Writer, wm types.Timestamp) error {
 	r.mu.Lock()
 	states := make([]*txState, 0, len(r.live))
 	for _, t := range r.live {
@@ -367,17 +371,19 @@ func (r *Replica) appendTxSnapshot(b []byte, wm types.Timestamp) []byte {
 	}
 	r.mu.Unlock()
 
-	b = append(b, txSnapVersion)
-	b = binary.BigEndian.AppendUint64(b, wm.Time)
-	b = binary.BigEndian.AppendUint64(b, wm.ClientID)
-
-	var body []byte
+	// The entry count precedes the entries but is only known once each
+	// state has been checked under its lock, so the section is encoded
+	// whole, header space first, and written in one call.
+	b := make([]byte, 1+16+4)
+	b[0] = txSnapVersion
+	binary.BigEndian.PutUint64(b[1:], wm.Time)
+	binary.BigEndian.PutUint64(b[9:], wm.ClientID)
 	n := 0
 	for _, t := range states {
 		t.mu.Lock()
 		keep := (t.voteReady || t.decisionLogged) && !t.finalized
 		if keep {
-			body = append(body, t.id[:]...)
+			b = append(b, t.id[:]...)
 			var flags byte
 			if t.voteReady {
 				flags |= 1
@@ -385,16 +391,17 @@ func (r *Replica) appendTxSnapshot(b []byte, wm types.Timestamp) []byte {
 			if t.decisionLogged {
 				flags |= 2
 			}
-			body = append(body, flags, byte(t.vote), byte(t.decision))
-			body = binary.BigEndian.AppendUint64(body, t.viewDecision)
-			body = binary.BigEndian.AppendUint64(body, t.viewCurrent)
-			body = walMetaOpt(body, t.meta)
+			b = append(b, flags, byte(t.vote), byte(t.decision))
+			b = binary.BigEndian.AppendUint64(b, t.viewDecision)
+			b = binary.BigEndian.AppendUint64(b, t.viewCurrent)
+			b = walMetaOpt(b, t.meta)
 			n++
 		}
 		t.mu.Unlock()
 	}
-	b = binary.BigEndian.AppendUint32(b, uint32(n))
-	return append(b, body...)
+	binary.BigEndian.PutUint32(b[17:], uint32(n))
+	_, err := w.Write(b)
+	return err
 }
 
 // restoreTxSection rebuilds txStates from a checkpoint's replica section

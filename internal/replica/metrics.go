@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/store"
+	"repro/internal/wal"
 )
 
 // Observability wiring. Every replica owns a metrics.Registry (its
@@ -122,12 +123,15 @@ func (r *Replica) initMetrics(reg *metrics.Registry) {
 	}
 }
 
-// walMetrics builds the instrument handles wal.Open consumes, keeping the
-// WAL's metric names in this file — the package's single definition site.
-func walMetrics(reg *metrics.Registry) (appendLat, syncLat *metrics.Histogram, pruneFails *metrics.Counter) {
-	return reg.Histogram("basil_wal_append_latency_seconds"),
-		reg.Histogram("basil_wal_fsync_latency_seconds"),
-		reg.Counter("basil_wal_prune_failures_total")
+// walMetrics installs the instrument handles wal.Open consumes into o,
+// keeping the WAL's metric names in this file — the package's single
+// definition site. The checkpoint byte count is named for the replica:
+// every byte of it is replica state (store snapshot + promise section).
+func walMetrics(reg *metrics.Registry, o *wal.Options) {
+	o.AppendLatency = reg.Histogram("basil_wal_append_latency_seconds")
+	o.SyncLatency = reg.Histogram("basil_wal_fsync_latency_seconds")
+	o.PruneFailures = reg.Counter("basil_wal_prune_failures_total")
+	o.CheckpointBytes = reg.Counter("basil_replica_checkpoint_bytes_total")
 }
 
 // bindWALMetrics exposes the WAL's cumulative counters once the log is

@@ -272,7 +272,7 @@ type Replica struct {
 	txs map[types.TxID]*txState
 	// live indexes the subset of txs holding an unfinalized durable
 	// promise (voteReady or decisionLogged) — exactly what checkpoint
-	// capture must persist, so appendTxSnapshot walks this instead of all
+	// capture must persist, so writeTxSnapshot walks this instead of all
 	// of history. Maintained by markLive/unmarkLive at every promise flip
 	// and finalize.
 	live map[types.TxID]*txState
@@ -379,15 +379,13 @@ func Restore(cfg Config, dir string) (*Replica, error) {
 	}
 	r.initMetrics(reg)
 	if dir != "" {
-		appendLat, syncLat, pruneFails := walMetrics(reg)
-		l, recov, err := wal.Open(wal.Options{
-			Dir:           dir,
-			FlushDelay:    cfg.WALFlushDelay,
-			SyncDelay:     cfg.WALSyncDelay,
-			AppendLatency: appendLat,
-			SyncLatency:   syncLat,
-			PruneFailures: pruneFails,
-		})
+		opts := wal.Options{
+			Dir:        dir,
+			FlushDelay: cfg.WALFlushDelay,
+			SyncDelay:  cfg.WALSyncDelay,
+		}
+		walMetrics(reg, &opts)
+		l, recov, err := wal.Open(opts)
 		if err != nil {
 			return nil, err
 		}

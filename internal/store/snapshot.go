@@ -3,13 +3,15 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
+	"time"
 
 	"repro/internal/types"
 )
 
 // Checkpoint snapshot codec.
 //
-// Snapshot serializes the store's durable state — version chains
+// Snapshot streams the store's durable state — version chains
 // (committed and prepared), reader records, the transaction table with
 // metadata and certificates, and the restart RTS floor — in the same
 // deterministic style as the canonical wire codec (fixed field order,
@@ -25,51 +27,115 @@ import (
 // snapVersion is the snapshot format version byte.
 const snapVersion = 1
 
-// Snapshot appends the store's durable state to b. It takes the global
-// lock exclusively, so the captured state is a consistent cut.
-func (s *Store) Snapshot(b []byte) []byte {
-	s.global.Lock()
-	defer s.global.Unlock()
-	b = append(b, snapVersion)
-	b = s.rtsFloor.AppendCanonical(b)
+// snapChunk is the size at which Snapshot hands its encoding to the
+// writer. The scratch buffer is reused across chunks, so a snapshot costs
+// O(snapChunk + largest record) memory — a record being one transaction
+// or one key's chain without its chunk-sized values — not O(state).
+const snapChunk = 64 << 10
 
-	b = binary.BigEndian.AppendUint32(b, uint32(len(s.txns)))
+// Snapshot writes the store's durable state to w. It holds the global
+// lock exclusively for the whole capture, so the encoding is a consistent
+// cut; the time it holds the lock is the SnapshotHold histogram. It stops
+// at, and returns, the first write error.
+func (s *Store) Snapshot(w io.Writer) error {
+	s.global.Lock()
+	var start time.Time
+	if s.m.SnapshotHold != nil {
+		start = time.Now()
+	}
+	defer func() {
+		if s.m.SnapshotHold != nil {
+			s.m.SnapshotHold.Since(start)
+		}
+		s.global.Unlock()
+	}()
+	sw := &snapWriter{w: w, b: make([]byte, 0, 2*snapChunk)}
+	sw.b = append(sw.b, snapVersion)
+	sw.b = s.rtsFloor.AppendCanonical(sw.b)
+
+	sw.b = binary.BigEndian.AppendUint32(sw.b, uint32(len(s.txns)))
 	for id, rec := range s.txns {
-		b = append(b, id[:]...)
-		b = append(b, byte(rec.Status))
-		b = snapMetaOpt(b, rec.Meta)
-		b = types.AppendDecisionCert(b, rec.Cert)
+		sw.b = append(sw.b, id[:]...)
+		sw.b = append(sw.b, byte(rec.Status))
+		sw.b = snapMetaOpt(sw.b, rec.Meta)
+		sw.b = types.AppendDecisionCert(sw.b, rec.Cert)
+		if !sw.maybeFlush() {
+			return sw.err
+		}
 	}
 
 	nKeys := 0
 	for si := range s.stripes {
 		nKeys += len(s.stripes[si].keys)
 	}
-	b = binary.BigEndian.AppendUint32(b, uint32(nKeys))
+	sw.b = binary.BigEndian.AppendUint32(sw.b, uint32(nKeys))
 	for si := range s.stripes {
 		for k, e := range s.stripes[si].keys {
-			b = snapString(b, k)
-			b = binary.BigEndian.AppendUint32(b, uint32(len(e.writes)))
+			sw.b = snapString(sw.b, k)
+			sw.b = binary.BigEndian.AppendUint32(sw.b, uint32(len(e.writes)))
 			for i := range e.writes {
 				w := &e.writes[i]
-				b = w.ver.AppendCanonical(b)
-				b = append(b, w.writer[:]...)
+				sw.b = w.ver.AppendCanonical(sw.b)
+				sw.b = append(sw.b, w.writer[:]...)
 				if w.committed {
-					b = append(b, 1)
+					sw.b = append(sw.b, 1)
 				} else {
-					b = append(b, 0)
+					sw.b = append(sw.b, 0)
 				}
-				b = snapBytes(b, w.value)
+				sw.value(w.value)
 			}
-			b = binary.BigEndian.AppendUint32(b, uint32(len(e.readers)))
+			sw.b = binary.BigEndian.AppendUint32(sw.b, uint32(len(e.readers)))
 			for _, r := range e.readers {
-				b = r.readerTs.AppendCanonical(b)
-				b = r.readVer.AppendCanonical(b)
-				b = append(b, r.reader[:]...)
+				sw.b = r.readerTs.AppendCanonical(sw.b)
+				sw.b = r.readVer.AppendCanonical(sw.b)
+				sw.b = append(sw.b, r.reader[:]...)
+			}
+			if !sw.maybeFlush() {
+				return sw.err
 			}
 		}
 	}
-	return b
+	sw.flush()
+	return sw.err
+}
+
+// snapWriter is Snapshot's chunked encoder: records are appended to the
+// scratch buffer b, which goes to w each time it passes snapChunk and is
+// then reused. err is the first write error; after it nothing is written.
+type snapWriter struct {
+	w   io.Writer
+	b   []byte
+	err error
+}
+
+func (sw *snapWriter) flush() {
+	if sw.err == nil && len(sw.b) > 0 {
+		_, sw.err = sw.w.Write(sw.b)
+	}
+	sw.b = sw.b[:0]
+}
+
+// maybeFlush flushes once the buffer has passed the chunk size and
+// reports whether encoding may go on.
+func (sw *snapWriter) maybeFlush() bool {
+	if len(sw.b) >= snapChunk {
+		sw.flush()
+	}
+	return sw.err == nil
+}
+
+// value encodes v length-prefixed, like snapBytes. A value of a chunk or
+// more goes to w directly instead of through (and growing) the buffer.
+func (sw *snapWriter) value(v []byte) {
+	if len(v) < snapChunk {
+		sw.b = snapBytes(sw.b, v)
+		return
+	}
+	sw.b = binary.BigEndian.AppendUint32(sw.b, uint32(len(v)))
+	sw.flush()
+	if sw.err == nil {
+		_, sw.err = sw.w.Write(v)
+	}
 }
 
 // Restore rebuilds the store from a Snapshot encoding. The store must be

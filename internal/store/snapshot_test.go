@@ -1,6 +1,8 @@
 package store
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -111,7 +113,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	mustPrepare(t, s, mp)
 	s.SetRTSFloor(ts(7, 0))
 
-	snap := s.Snapshot(nil)
+	snap := snapshotBytes(t, s)
 	snap = append(snap, 0xAA, 0xBB) // callers append their own sections
 
 	s2 := New()
@@ -167,7 +169,7 @@ func TestSnapshotRestoreTruncated(t *testing.T) {
 	s.ApplyGenesis("x", []byte("v0"))
 	m := meta(ts(10, 1), nil, map[string]string{"x": "v10"})
 	mustPrepare(t, s, m)
-	snap := s.Snapshot(nil)
+	snap := snapshotBytes(t, s)
 	for _, cut := range []int{1, len(snap) / 2, len(snap) - 1} {
 		if _, _, err := New().Restore(snap[:cut]); err == nil {
 			t.Fatalf("Restore accepted %d of %d bytes", cut, len(snap))
@@ -200,4 +202,113 @@ func TestRestorePrepared(t *testing.T) {
 	if res := s.CheckAndPrepare(mw, mw.ID()); res.Outcome != CheckAbort {
 		t.Fatalf("reinstated reader not enforced: %v", res.Outcome)
 	}
+}
+
+// snapshotBytes captures s's snapshot into memory.
+func snapshotBytes(t *testing.T, s *Store) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := s.Snapshot(&buf); err != nil {
+		t.Fatalf("snapshot: %v", err)
+	}
+	return buf.Bytes()
+}
+
+// chunkRecorder is a snapshot writer that keeps what it is given and
+// the size of each write; with failAfter > 0 it fails every write once
+// that many bytes have been accepted.
+type chunkRecorder struct {
+	buf       bytes.Buffer
+	writes    []int
+	failAfter int
+}
+
+var errDiskFull = errors.New("disk full")
+
+func (c *chunkRecorder) Write(p []byte) (int, error) {
+	if c.failAfter > 0 && c.buf.Len() >= c.failAfter {
+		return 0, errDiskFull
+	}
+	c.writes = append(c.writes, len(p))
+	return c.buf.Write(p)
+}
+
+// TestSnapshotStreamsInChunks: a snapshot larger than the chunk size
+// reaches the writer in several chunk-sized writes (never the whole
+// encoding at once), and a value larger than the chunk is written
+// through without growing the scratch buffer; the stream still restores
+// to the same state.
+func TestSnapshotStreamsInChunks(t *testing.T) {
+	s := New()
+	for i := 0; i < 4000; i++ {
+		s.ApplyGenesis(fmt.Sprintf("k%05d", i), bytes.Repeat([]byte{byte(i)}, 100))
+	}
+	big := bytes.Repeat([]byte("B"), 3*snapChunk+17)
+	s.ApplyGenesis("big", big)
+	mc := meta(ts(10, 1), nil, map[string]string{"k00001": "v10"})
+	mustPrepare(t, s, mc)
+	s.Finalize(mc.ID(), mc, types.DecisionCommit, nil)
+
+	var rec chunkRecorder
+	if err := s.Snapshot(&rec); err != nil {
+		t.Fatalf("snapshot: %v", err)
+	}
+	if len(rec.writes) < 5 {
+		t.Fatalf("%d bytes arrived in %d writes; want chunked streaming", rec.buf.Len(), len(rec.writes))
+	}
+	for _, n := range rec.writes {
+		if n > 2*snapChunk && n != len(big) {
+			t.Fatalf("write of %d bytes exceeds the chunk bound (chunk %d, big value %d)", n, snapChunk, len(big))
+		}
+	}
+
+	s2 := New()
+	rest, _, err := s2.Restore(rec.buf.Bytes())
+	if err != nil || len(rest) != 0 {
+		t.Fatalf("restore: rest=%d err=%v", len(rest), err)
+	}
+	if _, v, ok := s2.LatestCommitted("big"); !ok || !bytes.Equal(v, big) {
+		t.Fatalf("big value did not round-trip (%d bytes)", len(v))
+	}
+	if _, v, ok := s2.LatestCommitted("k00001"); !ok || string(v) != "v10" {
+		t.Fatalf("committed write did not round-trip: %q", v)
+	}
+	if got, want := s2.StatsSnapshot(), s.StatsSnapshot(); got.Keys != want.Keys || got.Versions != want.Versions || got.Txns != want.Txns {
+		t.Fatalf("restored stats %+v, want %+v", got, want)
+	}
+}
+
+// TestSnapshotEmptyStore: an empty store snapshots to the fixed header
+// (version, RTS floor, zero transactions, zero keys) and restores.
+func TestSnapshotEmptyStore(t *testing.T) {
+	snap := snapshotBytes(t, New())
+	if want := 1 + 16 + 4 + 4; len(snap) != want {
+		t.Fatalf("empty snapshot is %d bytes, want %d", len(snap), want)
+	}
+	s2 := New()
+	rest, maxTs, err := s2.Restore(snap)
+	if err != nil || len(rest) != 0 || !maxTs.IsZero() {
+		t.Fatalf("restore empty: rest=%d maxTs=%v err=%v", len(rest), maxTs, err)
+	}
+	if st := s2.StatsSnapshot(); st.Keys != 0 || st.Txns != 0 {
+		t.Fatalf("empty restore produced %+v", st)
+	}
+}
+
+// TestSnapshotWriteErrorStops: the first write error ends the capture and
+// is returned — Snapshot does not keep encoding under the exclusive lock
+// for a writer that has already failed — and the lock is released.
+func TestSnapshotWriteErrorStops(t *testing.T) {
+	s := New()
+	for i := 0; i < 8000; i++ {
+		s.ApplyGenesis(fmt.Sprintf("k%05d", i), bytes.Repeat([]byte{1}, 64))
+	}
+	rec := chunkRecorder{failAfter: 1}
+	if err := s.Snapshot(&rec); !errors.Is(err, errDiskFull) {
+		t.Fatalf("snapshot error = %v, want %v", err, errDiskFull)
+	}
+	if len(rec.writes) != 1 {
+		t.Fatalf("snapshot kept writing after the error: %d writes accepted", len(rec.writes))
+	}
+	s.ApplyGenesis("after", []byte("x")) // deadlocks if the lock leaked
 }

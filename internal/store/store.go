@@ -129,6 +129,9 @@ type Metrics struct {
 	RTSRejections *metrics.Counter // aborts from outstanding RTS / floor
 	GCRuns        *metrics.Counter // GC invocations
 	GCCollected   *metrics.Counter // entries GC dropped, cumulative
+	// SnapshotHold is how long each Snapshot held the exclusive global
+	// lock — the stall every other store operation sees during capture.
+	SnapshotHold *metrics.Histogram
 }
 
 // SetMetrics installs instrumentation counters. Call once, before the
@@ -147,6 +150,7 @@ func RegistryMetrics(reg *metrics.Registry, labelPairs ...string) Metrics {
 		RTSRejections: reg.Counter("basil_store_rts_rejections_total", labelPairs...),
 		GCRuns:        reg.Counter("basil_store_gc_runs_total", labelPairs...),
 		GCCollected:   reg.Counter("basil_store_gc_collected_total", labelPairs...),
+		SnapshotHold:  reg.Histogram("basil_store_snapshot_hold_seconds", labelPairs...),
 	}
 }
 
@@ -716,11 +720,6 @@ func (s *Store) GC(watermark types.Timestamp) int {
 	s.global.Lock()
 	defer s.global.Unlock()
 	dropped := 0
-	// Writers of surviving versions stay in the transaction table: Read
-	// serves their metadata and certificate alongside the value, and a
-	// missing record would make a real committed version indistinguishable
-	// from an unprovable one.
-	liveWriters := make(map[types.TxID]struct{})
 	for si := range s.stripes {
 		for _, e := range s.stripes[si].keys {
 			// Find the newest committed version ≤ watermark; keep it.
@@ -741,9 +740,6 @@ func (s *Store) GC(watermark types.Timestamp) int {
 					out = append(out, w)
 				}
 				e.writes = out
-			}
-			for i := range e.writes {
-				liveWriters[e.writes[i].writer] = struct{}{}
 			}
 			rd := e.readers[:0]
 			for _, r := range e.readers {
@@ -780,7 +776,10 @@ func (s *Store) GC(watermark types.Timestamp) int {
 	// the store's only unbounded structure. A finalized record below the
 	// watermark whose writes have all been superseded (or that aborted) is
 	// pure history — no read, conflict check, or recovery can name it
-	// again under the watermark promise above.
+	// again under the watermark promise above. Writers of surviving
+	// versions stay: Read serves their metadata and certificate alongside
+	// the value, and a missing record would make a real committed version
+	// indistinguishable from an unprovable one.
 	for id, rec := range s.txns {
 		if rec.Status != StatusCommitted && rec.Status != StatusAborted {
 			continue
@@ -788,7 +787,7 @@ func (s *Store) GC(watermark types.Timestamp) int {
 		if rec.Meta == nil || !rec.Meta.Timestamp.Less(watermark) {
 			continue
 		}
-		if _, live := liveWriters[id]; live {
+		if s.writesSurvive(id, rec.Meta) {
 			continue
 		}
 		delete(s.txns, id)
@@ -796,6 +795,26 @@ func (s *Store) GC(watermark types.Timestamp) int {
 	}
 	s.m.GCCollected.Add(uint64(dropped))
 	return dropped
+}
+
+// writesSurvive reports whether any version id wrote is still in a chain.
+// A transaction's versions only ever live under the keys of its write set
+// (CheckAndPrepare, Finalize, RestorePrepared and Restore install them
+// from meta), so only those chains are searched — GC allocates nothing
+// per key. Caller holds the global lock exclusively.
+func (s *Store) writesSurvive(id types.TxID, meta *types.TxMeta) bool {
+	for _, w := range meta.WriteSet {
+		e := s.stripeOf(w.Key).keys[w.Key]
+		if e == nil {
+			continue
+		}
+		for i := range e.writes {
+			if e.writes[i].writer == id {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // Stats reports store sizes for monitoring.

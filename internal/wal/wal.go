@@ -11,23 +11,32 @@
 // is what makes logging each prepare affordable.
 //
 // Checkpoints. Checkpoint(snap) rotates to a fresh segment first and
-// builds the snapshot after, so the snapshot is guaranteed to cover every
-// record in the segments it supersedes (state mutated between rotation
-// and the snapshot read shows up in both the snapshot and the kept
-// suffix; replay of the suffix must therefore be idempotent). The
-// checkpoint file is written to a temp name, fsynced, renamed, and the
-// directory fsynced, then all superseded segments and older checkpoints
+// captures the snapshot after, so the snapshot is guaranteed to cover
+// every record in the segments it supersedes (state mutated between
+// rotation and the snapshot read shows up in both the snapshot and the
+// kept suffix; replay of the suffix must therefore be idempotent). snap
+// streams the snapshot into the checkpoint file through one fixed-size
+// buffer that also feeds the payload CRC and length, which are patched
+// into the header afterwards: writing a checkpoint needs O(chunk) memory,
+// not O(state), and never holds the whole encoding at once. The snapshot
+// producer still decides how consistent its cut is — the store holds its
+// exclusive lock for the whole capture (see store.Snapshot) — so the
+// stream runs at disk-write speed under that lock. The checkpoint file is
+// written to a temp name, fsynced, renamed, and the directory fsynced,
+// then all superseded segments, older checkpoints and stray temp files
 // are pruned. Replay = newest valid checkpoint + the segment suffix.
 //
 // Crash tolerance. A crash mid-append leaves a truncated or torn final
 // frame; recovery stops replay at the first bad frame of the *last*
 // segment (and truncates it away before appending resumes) but treats
 // corruption anywhere else as real damage and refuses to open. A crash
-// mid-checkpoint leaves either a .tmp file (ignored) or a valid renamed
-// checkpoint with stale segments not yet pruned (pruned on next open).
+// mid-checkpoint leaves either a .tmp file (ignored by recovery, deleted
+// by the next checkpoint's prune) or a valid renamed checkpoint with
+// stale segments not yet pruned (pruned by the next checkpoint).
 package wal
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -49,6 +58,7 @@ const (
 	segSuffix  = ".wal"
 	ckptPrefix = "ckpt-"
 	ckptSuffix = ".ck"
+	tmpSuffix  = ".tmp"
 )
 
 // segMagic starts every segment and checkpoint file: "BWAL" plus a
@@ -102,6 +112,9 @@ type Options struct {
 	AppendLatency *metrics.Histogram
 	SyncLatency   *metrics.Histogram
 	PruneFailures *metrics.Counter
+	// CheckpointBytes counts the snapshot payload bytes of every published
+	// checkpoint (nil-safe like the handles above).
+	CheckpointBytes *metrics.Counter
 }
 
 func (o *Options) withDefaults() {
@@ -381,12 +394,14 @@ func (l *Log) openSegment() error {
 	return nil
 }
 
-// Checkpoint rotates to a fresh segment, calls snap to capture a
-// snapshot covering (at least) every record in the superseded segments,
-// writes it durably, and prunes the segments and checkpoints it
-// replaced. snap runs without any log lock held, so appends continue
-// (into the kept suffix) while the snapshot is built.
-func (l *Log) Checkpoint(snap func() []byte) error {
+// Checkpoint rotates to a fresh segment, calls snap to stream a snapshot
+// covering (at least) every record in the superseded segments into the
+// checkpoint file, publishes it durably, and prunes the segments and
+// checkpoints it replaced. snap runs without any log lock held, so
+// appends continue (into the kept suffix) while the snapshot is written.
+// If snap (or any write) fails, the partial file is removed and the
+// previous checkpoint stays the recovery point.
+func (l *Log) Checkpoint(snap func(w io.Writer) error) error {
 	l.mu.Lock()
 	// A flusher sync pass holds a reference to the current segment file;
 	// rotating (closing it) under its feet would fail that sync.
@@ -411,28 +426,24 @@ func (l *Log) Checkpoint(snap func() []byte) error {
 	cut := l.seq // everything below this segment is covered by the snapshot
 	l.mu.Unlock()
 
-	data := snap()
-
-	// Write ckpt-<cut>: magic, u64 length, u32 CRC, payload — atomically
-	// published by the rename, made durable by the directory sync.
-	tmp := filepath.Join(l.opts.Dir, fmt.Sprintf("%s%08d.tmp", ckptPrefix, cut))
-	final := filepath.Join(l.opts.Dir, ckptName(cut))
-	buf := make([]byte, 0, len(segMagic)+12+len(data))
-	buf = append(buf, segMagic...)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(len(data)))
-	buf = binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(data))
-	buf = append(buf, data...)
-	if err := writeFileSync(tmp, buf, !l.opts.NoSync); err != nil {
-		return err
+	// Write ckpt-<cut> under a temp name, atomically published by the
+	// rename and made durable by the directory sync.
+	tmp := filepath.Join(l.opts.Dir, ckptTmpName(cut))
+	n, err := writeCheckpoint(tmp, snap, !l.opts.NoSync)
+	if err == nil {
+		err = os.Rename(tmp, filepath.Join(l.opts.Dir, ckptName(cut)))
 	}
-	if err := os.Rename(tmp, final); err != nil {
-		return err
+	if err != nil {
+		//nolint:basilvet — cleanup on a path already returning the real error; a tmp that survives a failed remove is deleted by a later prune.
+		os.Remove(tmp)
+		return fmt.Errorf("wal: checkpoint %d: %w", cut, err)
 	}
 	if !l.opts.NoSync {
 		if err := l.dir.Sync(); err != nil {
 			return err
 		}
 	}
+	l.opts.CheckpointBytes.Add(n)
 	// Best-effort prune: the checkpoint is fully published and durable at
 	// this point, so a failure here (e.g. a transient ReadDir error)
 	// costs stale files on disk, not correctness. Escalating it would
@@ -443,6 +454,67 @@ func (l *Log) Checkpoint(snap func() []byte) error {
 		l.opts.PruneFailures.Inc()
 	}
 	return nil
+}
+
+// ckptChunk is the size of the one buffer a checkpoint streams through,
+// so writing a checkpoint needs O(ckptChunk) memory, not O(snapshot).
+const ckptChunk = 64 << 10
+
+// writeCheckpoint streams snap into a new file at path in the checkpoint
+// format — magic, u64 payload length, u32 payload CRC32, payload — and
+// returns the payload length. The length and CRC are not known until the
+// payload has been written, so the header goes out with them zeroed and
+// is patched in place before the fsync; the finished file is byte-for-
+// byte what a buffered write of the same payload would produce.
+func writeCheckpoint(path string, snap func(w io.Writer) error, doSync bool) (n uint64, err error) {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	if err != nil {
+		return 0, err
+	}
+	defer func() {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}()
+	hdr := make([]byte, len(segMagic)+12)
+	copy(hdr, segMagic)
+	if _, err := f.Write(hdr); err != nil {
+		return 0, err
+	}
+	sum := &summingWriter{w: f}
+	bw := bufio.NewWriterSize(sum, ckptChunk)
+	if err := snap(bw); err != nil {
+		return 0, err
+	}
+	if err := bw.Flush(); err != nil {
+		return 0, err
+	}
+	binary.BigEndian.PutUint64(hdr[len(segMagic):], sum.n)
+	binary.BigEndian.PutUint32(hdr[len(segMagic)+8:], sum.crc)
+	if _, err := f.WriteAt(hdr[len(segMagic):], int64(len(segMagic))); err != nil {
+		return 0, err
+	}
+	if doSync {
+		if err := f.Sync(); err != nil {
+			return 0, err
+		}
+	}
+	return sum.n, nil
+}
+
+// summingWriter passes writes through to w while keeping the CRC32 and
+// the length of everything written.
+type summingWriter struct {
+	w   io.Writer
+	crc uint32
+	n   uint64
+}
+
+func (s *summingWriter) Write(p []byte) (int, error) {
+	n, err := s.w.Write(p)
+	s.crc = crc32.Update(s.crc, crc32.IEEETable, p[:n])
+	s.n += uint64(n)
+	return n, err
 }
 
 // Close flushes and syncs everything appended, wakes all waiters, and
@@ -489,8 +561,9 @@ func (l *Log) StatsSnapshot() Stats {
 
 // --- recovery ---
 
-func segName(seq uint64) string  { return fmt.Sprintf("%s%08d%s", segPrefix, seq, segSuffix) }
-func ckptName(seq uint64) string { return fmt.Sprintf("%s%08d%s", ckptPrefix, seq, ckptSuffix) }
+func segName(seq uint64) string     { return fmt.Sprintf("%s%08d%s", segPrefix, seq, segSuffix) }
+func ckptName(seq uint64) string    { return fmt.Sprintf("%s%08d%s", ckptPrefix, seq, ckptSuffix) }
+func ckptTmpName(seq uint64) string { return fmt.Sprintf("%s%08d%s", ckptPrefix, seq, tmpSuffix) }
 
 func parseSeq(name, prefix, suffix string) (uint64, bool) {
 	if len(name) <= len(prefix)+len(suffix) ||
@@ -665,8 +738,10 @@ func readCheckpoint(path string) ([]byte, error) {
 	return payload, nil
 }
 
-// prune removes segments and checkpoints superseded by ckpt-cut. Failures
-// are ignored: stale files cost disk, not correctness, and the next
+// prune removes segments, checkpoints and unfinished checkpoint temp
+// files superseded by ckpt-cut. A temp file at or above the cut may belong
+// to a checkpoint still being written and is left alone. Failures are
+// ignored: stale files cost disk, not correctness, and the next
 // checkpoint retries.
 func prune(dir string, cut uint64) error {
 	entries, err := os.ReadDir(dir)
@@ -682,24 +757,10 @@ func prune(dir string, cut uint64) error {
 			//nolint:basilvet — documented best-effort, same policy as the segment remove above.
 			os.Remove(filepath.Join(dir, e.Name()))
 		}
-	}
-	return nil
-}
-
-func writeFileSync(path string, data []byte, doSync bool) error {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if doSync {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return err
+		if seq, ok := parseSeq(e.Name(), ckptPrefix, tmpSuffix); ok && seq < cut {
+			//nolint:basilvet — documented best-effort, same policy as the segment remove above.
+			os.Remove(filepath.Join(dir, e.Name()))
 		}
 	}
-	return f.Close()
+	return nil
 }

@@ -3,8 +3,10 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -27,6 +29,14 @@ func openT(t *testing.T, dir string, opts Options) (*Log, *Recovered) {
 }
 
 func recN(i int) []byte { return []byte(fmt.Sprintf("record-%04d", i)) }
+
+// snapOf is a Checkpoint snapshot function that writes b.
+func snapOf(b []byte) func(io.Writer) error {
+	return func(w io.Writer) error {
+		_, err := w.Write(b)
+		return err
+	}
+}
 
 func TestWALAppendReplayRoundTrip(t *testing.T) {
 	dir := t.TempDir()
@@ -140,7 +150,7 @@ func TestWALCheckpointPrunesAndRecovers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := l.Checkpoint(func() []byte { return []byte("snapshot-at-20") }); err != nil {
+	if err := l.Checkpoint(snapOf([]byte("snapshot-at-20"))); err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
 	for i := 20; i < 25; i++ {
@@ -196,7 +206,7 @@ func TestWALCheckpointCoversConcurrentAppends(t *testing.T) {
 		}()
 	}
 	var snapped [][]byte
-	if err := l.Checkpoint(func() []byte {
+	if err := l.Checkpoint(func(w io.Writer) error {
 		// The snapshot sees everything rotated out; emulate a state dump by
 		// recording what a replayer would have applied so far.
 		r, err := readAll(dir)
@@ -204,7 +214,8 @@ func TestWALCheckpointCoversConcurrentAppends(t *testing.T) {
 			t.Errorf("mid-checkpoint read: %v", err)
 		}
 		snapped = r
-		return flatten(r)
+		_, err = w.Write(flatten(r))
+		return err
 	}); err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
@@ -291,7 +302,7 @@ func TestWALUnreadableCheckpointRefused(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := l.Checkpoint(func() []byte { return []byte("good") }); err != nil {
+	if err := l.Checkpoint(snapOf([]byte("good"))); err != nil {
 		t.Fatal(err)
 	}
 	for i := 5; i < 8; i++ {
@@ -380,7 +391,7 @@ func TestWALTornHeaderAfterCheckpointKeepsNumbering(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := l.Checkpoint(func() []byte { return []byte("snap") }); err != nil {
+	if err := l.Checkpoint(snapOf([]byte("snap"))); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
@@ -441,7 +452,7 @@ func TestWALCheckpointWithoutCutSegmentRefused(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := l.Checkpoint(func() []byte { return []byte("snap") }); err != nil {
+	if err := l.Checkpoint(snapOf([]byte("snap"))); err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
 	// Promises appended after the checkpoint live in the cut segment.
@@ -532,5 +543,199 @@ func TestWALSyncDelayInjection(t *testing.T) {
 	_, rec := openT(t, dir, Options{})
 	if len(rec.Records) != n {
 		t.Fatalf("recovered %d records, want %d", len(rec.Records), n)
+	}
+}
+
+// parentCheckpointFile is the checkpoint file layout built the way it was
+// before checkpoints were streamed: magic, u64 length and u32 CRC of the
+// payload, then the payload, assembled in one buffer.
+func parentCheckpointFile(payload []byte) []byte {
+	buf := append([]byte{}, segMagic...)
+	buf = binary.BigEndian.AppendUint64(buf, uint64(len(payload)))
+	buf = binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
+	return append(buf, payload...)
+}
+
+// stripedPayload is a deterministic payload several chunks long.
+func stripedPayload(n int) []byte {
+	p := make([]byte, n)
+	for i := range p {
+		p[i] = byte(i*7 + i/251)
+	}
+	return p
+}
+
+// TestWALCheckpointStreamedFormatUnchanged: a checkpoint streamed in
+// uneven writes, several chunks long, is byte-for-byte the file the
+// buffered writer produced, and the payload counter sees its length.
+func TestWALCheckpointStreamedFormatUnchanged(t *testing.T) {
+	dir := t.TempDir()
+	reg := metrics.NewRegistry()
+	bytesC := reg.Counter("ckpt_bytes")
+	l, _ := openT(t, dir, Options{CheckpointBytes: bytesC})
+	if err := l.Append(recN(0)); err != nil {
+		t.Fatal(err)
+	}
+	payload := stripedPayload(3*ckptChunk + 1234)
+	err := l.Checkpoint(func(w io.Writer) error {
+		for rest, step := payload, 1; len(rest) > 0; step = step*3 + 1 {
+			n := min(step, len(rest))
+			if _, err := w.Write(rest[:n]); err != nil {
+				return err
+			}
+			rest = rest[n:]
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	l.Close()
+	got, err := os.ReadFile(filepath.Join(dir, ckptName(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, parentCheckpointFile(payload)) {
+		t.Fatalf("streamed checkpoint file (%d bytes) differs from the buffered layout (%d bytes)",
+			len(got), len(parentCheckpointFile(payload)))
+	}
+	if n := bytesC.Load(); n != uint64(len(payload)) {
+		t.Fatalf("checkpoint bytes counter = %d, want %d", n, len(payload))
+	}
+	_, rec := mustRecover(t, dir)
+	if !bytes.Equal(rec.Snapshot, payload) {
+		t.Fatalf("recovered snapshot of %d bytes, want %d", len(rec.Snapshot), len(payload))
+	}
+}
+
+// TestWALOpensParentFormatCheckpoint: a data dir whose checkpoint was
+// written the buffered way — built here byte by byte, not by this
+// package's writer — still opens, with its snapshot and log suffix.
+func TestWALOpensParentFormatCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	payload := []byte("snapshot written by the buffered checkpoint writer")
+	if err := os.WriteFile(filepath.Join(dir, ckptName(3)), parentCheckpointFile(payload), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	seg := append([]byte{}, segMagic...)
+	for i := 0; i < 2; i++ {
+		r := recN(i)
+		seg = binary.BigEndian.AppendUint32(seg, uint32(len(r)))
+		seg = binary.BigEndian.AppendUint32(seg, crc32.ChecksumIEEE(r))
+		seg = append(seg, r...)
+	}
+	if err := os.WriteFile(filepath.Join(dir, segName(3)), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, rec := mustRecover(t, dir)
+	if !bytes.Equal(rec.Snapshot, payload) || len(rec.Records) != 2 || !bytes.Equal(rec.Records[1], recN(1)) {
+		t.Fatalf("recovered snapshot=%q records=%q", rec.Snapshot, rec.Records)
+	}
+	if err := l.Checkpoint(snapOf([]byte("next"))); err != nil {
+		t.Fatalf("checkpoint over a buffered-format dir: %v", err)
+	}
+}
+
+// TestWALCheckpointEmptySnapshot: a snapshot function that writes nothing
+// publishes a valid checkpoint with an empty payload.
+func TestWALCheckpointEmptySnapshot(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := openT(t, dir, Options{})
+	if err := l.Append(recN(0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Checkpoint(func(io.Writer) error { return nil }); err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	if err := l.Append(recN(1)); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	_, rec := mustRecover(t, dir)
+	if rec.Snapshot == nil || len(rec.Snapshot) != 0 || len(rec.Records) != 1 {
+		t.Fatalf("recovered snapshot=%q (nil=%v) records=%d", rec.Snapshot, rec.Snapshot == nil, len(rec.Records))
+	}
+}
+
+// TestWALCheckpointSnapshotErrorKeepsPrevious: a snapshot that fails
+// mid-stream fails Checkpoint with its error, leaves no temp file, and
+// leaves the previous checkpoint (plus every segment after it) as the
+// recovery point; the log keeps accepting appends.
+func TestWALCheckpointSnapshotErrorKeepsPrevious(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := openT(t, dir, Options{})
+	for i := 0; i < 5; i++ {
+		if err := l.Append(recN(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Checkpoint(snapOf([]byte("first"))); err != nil {
+		t.Fatal(err)
+	}
+	for i := 5; i < 10; i++ {
+		if err := l.Append(recN(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	errBroken := errors.New("snapshot source broke")
+	err := l.Checkpoint(func(w io.Writer) error {
+		if _, err := w.Write(stripedPayload(2*ckptChunk + 5)); err != nil {
+			return err
+		}
+		return errBroken
+	})
+	if !errors.Is(err, errBroken) {
+		t.Fatalf("checkpoint error = %v, want %v", err, errBroken)
+	}
+	assertNoTmp(t, dir)
+	for i := 10; i < 13; i++ {
+		if err := l.Append(recN(i)); err != nil {
+			t.Fatalf("append after failed checkpoint: %v", err)
+		}
+	}
+	l.Close()
+	_, rec := mustRecover(t, dir)
+	if string(rec.Snapshot) != "first" || len(rec.Records) != 8 {
+		t.Fatalf("recovered snapshot=%q with %d records, want \"first\" with 8", rec.Snapshot, len(rec.Records))
+	}
+	for i, r := range rec.Records {
+		if !bytes.Equal(r, recN(5+i)) {
+			t.Fatalf("suffix record %d = %q", i, r)
+		}
+	}
+}
+
+// TestWALPruneRemovesStrayTmp is the regression test for stray
+// checkpoint temp files: one left below the cut by a crashed or failed
+// checkpoint is pruned, while one at or above the cut (a checkpoint
+// possibly still being written) is kept.
+func TestWALPruneRemovesStrayTmp(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"ckpt-00000001.tmp", "ckpt-00000004.tmp", "ckpt-00000006.tmp"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("partial"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := prune(dir, 5); err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]bool{"ckpt-00000001.tmp": false, "ckpt-00000004.tmp": false, "ckpt-00000006.tmp": true} {
+		_, err := os.Stat(filepath.Join(dir, name))
+		if exists := err == nil; exists != want {
+			t.Fatalf("%s exists=%v after prune at cut 5, want %v", name, exists, want)
+		}
+	}
+}
+
+func assertNoTmp(t *testing.T, dir string) {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if filepath.Ext(e.Name()) == tmpSuffix {
+			t.Fatalf("temp checkpoint file %s left behind", e.Name())
+		}
 	}
 }
